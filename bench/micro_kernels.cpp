@@ -304,25 +304,6 @@ void BM_SimdLorenzoPqd2D(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdLorenzoPqd2D)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_SimdHistogram(benchmark::State& state) {
-  if (!enter_level(state, state.range(0))) return;
-  std::mt19937 rng(17);
-  std::vector<std::uint16_t> codes(1 << 20);
-  for (auto& c : codes) {
-    c = static_cast<std::uint16_t>(32768 + static_cast<int>(rng() % 9) - 4);
-  }
-  std::vector<std::uint64_t> freq(1 << 16);
-  for (auto _ : state) {
-    std::fill(freq.begin(), freq.end(), 0);
-    simd::histogram_u16(codes.data(), codes.size(), freq.data());
-    benchmark::DoNotOptimize(freq.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(codes.size() * 2));
-  leave_level();
-}
-BENCHMARK(BM_SimdHistogram)->Arg(0)->Arg(1)->Arg(2);
-
 void BM_SimdMinmax(benchmark::State& state) {
   if (!enter_level(state, state.range(0))) return;
   const auto field = test_field(1024, 1024);

@@ -67,10 +67,8 @@ KernelTimes run_one(std::span<const T> data, const Dims& dims,
   kt.pqd_s = 1e30;
   for (int r = 0; r < kReps; ++r) {
     sw.reset();
-    pqd = threads == 1
-              ? sz::detail::lorenzo_pqd_t<T>(data, dims, q)
-              : sz::detail::lorenzo_pqd_wavefront_t<T>(
-                    data, dims, q, sz::PredictorKind::Lorenzo1Layer, threads);
+    pqd = sz::detail::run_pqd<T>(data, dims, q,
+                                 sz::PredictorKind::Lorenzo1Layer, threads);
     kt.pqd_s = std::min(kt.pqd_s, sw.seconds());
   }
   kt.exact = pqd.codes == ref_codes &&
@@ -88,12 +86,9 @@ KernelTimes run_one(std::span<const T> data, const Dims& dims,
   kt.rec_s = 1e30;
   for (int r = 0; r < kReps; ++r) {
     sw.reset();
-    rec = threads == 1
-              ? sz::detail::lorenzo_reconstruct_t<T>(pqd.codes, unpred, dims,
-                                                     q)
-              : sz::detail::lorenzo_reconstruct_wavefront_t<T>(
-                    pqd.codes, unpred, dims, q,
-                    sz::PredictorKind::Lorenzo1Layer, threads);
+    rec = sz::detail::run_reconstruct<T>(pqd.codes, unpred, dims, q,
+                                         sz::PredictorKind::Lorenzo1Layer,
+                                         threads);
     kt.rec_s = std::min(kt.rec_s, sw.seconds());
   }
   kt.exact = kt.exact && std::memcmp(rec.data(), ref_rec.data(),
@@ -108,7 +103,7 @@ bool sweep_shape(const Dims& dims, const char* dtype, std::FILE* json,
   const sz::LinearQuantizer q(1e-3 * 2.6, 16);  // rel 1e-3 of the range
   const double mb = static_cast<double>(dims.count() * sizeof(T)) / 1e6;
 
-  const auto ref = sz::detail::lorenzo_pqd_t<T>(
+  const auto ref = sz::detail::lorenzo_pqd_scalar_t<T>(
       std::span<const T>(data), dims, q);
   std::printf("%s %s (%.1f MB, %zu unpredictable)\n", dims.str().c_str(),
               dtype, mb, ref.unpredictable.size());
@@ -153,10 +148,10 @@ std::vector<simd::Level> sweep_levels() {
   return out;
 }
 
-// Per-kernel simd dispatch sweep on the serial entry points (the production
-// path: lorenzo_pqd_t / lorenzo_reconstruct_t pick the vectorized tile
-// schedule from simd::active()), plus the standalone histogram kernel the
-// Huffman encoder leans on. Emits the "simd_levels" rows of BENCH_pqd.json.
+// Per-kernel simd dispatch sweep on the budget-1 entry points (the
+// production path: run_pqd / run_reconstruct pick the vectorized tile
+// schedule from simd::active()). Emits the "simd_levels" rows of
+// BENCH_pqd.json.
 template <typename T>
 bool sweep_simd_shape(const Dims& dims, const char* dtype, std::FILE* json,
                       bool* first_row) {
@@ -165,20 +160,17 @@ bool sweep_simd_shape(const Dims& dims, const char* dtype, std::FILE* json,
   const double mb = static_cast<double>(dims.count() * sizeof(T)) / 1e6;
   const std::span<const T> span(data);
 
-  simd::set_level(simd::Level::Scalar);
-  const auto ref = sz::detail::lorenzo_pqd_t<T>(span, dims, q);
+  const auto ref = sz::detail::lorenzo_pqd_scalar_t<T>(span, dims, q);
   std::vector<T> unpred = ref.unpredictable;
   for (auto& v : unpred) {
     v = sz::detail::FpOps<T>::roundtrip(v, q.precision());
   }
-  std::vector<std::uint64_t> ref_freq(1u << 16, 0);
-  simd::histogram_u16(ref.codes.data(), ref.codes.size(), ref_freq.data());
 
   std::printf("%s %s (%.1f MB) — simd dispatch sweep (serial kernels)\n",
               dims.str().c_str(), dtype, mb);
 
   bool all_ok = true;
-  double scalar_pqd = 0, scalar_rec = 0, scalar_hist = 0;
+  double scalar_pqd = 0, scalar_rec = 0;
   Stopwatch sw;
   for (const simd::Level level : sweep_levels()) {
     simd::set_level(level);
@@ -186,58 +178,45 @@ bool sweep_simd_shape(const Dims& dims, const char* dtype, std::FILE* json,
     double pqd_s = 1e30;
     for (int r = 0; r < kReps; ++r) {
       sw.reset();
-      pqd = sz::detail::lorenzo_pqd_t<T>(span, dims, q);
+      pqd = sz::detail::run_pqd<T>(span, dims, q,
+                                   sz::PredictorKind::Lorenzo1Layer, 1);
       pqd_s = std::min(pqd_s, sw.seconds());
     }
     std::vector<T> rec;
     double rec_s = 1e30;
     for (int r = 0; r < kReps; ++r) {
       sw.reset();
-      rec = sz::detail::lorenzo_reconstruct_t<T>(pqd.codes, unpred, dims, q);
+      rec = sz::detail::run_reconstruct<T>(pqd.codes, unpred, dims, q,
+                                           sz::PredictorKind::Lorenzo1Layer,
+                                           1);
       rec_s = std::min(rec_s, sw.seconds());
-    }
-    double hist_s = 1e30;
-    std::vector<std::uint64_t> freq(1u << 16);
-    for (int r = 0; r < kReps; ++r) {
-      std::fill(freq.begin(), freq.end(), 0);
-      sw.reset();
-      simd::histogram_u16(pqd.codes.data(), pqd.codes.size(), freq.data());
-      hist_s = std::min(hist_s, sw.seconds());
     }
     const bool exact =
         pqd.codes == ref.codes &&
         std::memcmp(pqd.reconstructed.data(), ref.reconstructed.data(),
                     ref.reconstructed.size() * sizeof(T)) == 0 &&
         std::memcmp(rec.data(), ref.reconstructed.data(),
-                    ref.reconstructed.size() * sizeof(T)) == 0 &&
-        freq == ref_freq;
+                    ref.reconstructed.size() * sizeof(T)) == 0;
     all_ok = all_ok && exact;
     if (level == simd::Level::Scalar) {
       scalar_pqd = pqd_s;
       scalar_rec = rec_s;
-      scalar_hist = hist_s;
     }
     std::printf(
         "  level=%-6s pqd %7.1f MB/s (%.2fx)  reconstruct %7.1f MB/s "
-        "(%.2fx)  histogram %7.1f MB/s (%.2fx)  parity %s\n",
+        "(%.2fx)  parity %s\n",
         simd::level_name(level), mb / pqd_s, scalar_pqd / pqd_s, mb / rec_s,
-        scalar_rec / rec_s,
-        static_cast<double>(pqd.codes.size() * 2) / 1e6 / hist_s,
-        scalar_hist / hist_s, exact ? "ok" : "FAIL");
+        scalar_rec / rec_s, exact ? "ok" : "FAIL");
     if (json != nullptr) {
       std::fprintf(
           json,
           "%s    {\"shape\": \"%s\", \"dtype\": \"%s\", \"level\": \"%s\", "
           "\"pqd_mbps\": %.2f, \"pqd_speedup_vs_scalar\": %.3f, "
           "\"reconstruct_mbps\": %.2f, "
-          "\"reconstruct_speedup_vs_scalar\": %.3f, "
-          "\"histogram_mbps\": %.2f, \"histogram_speedup_vs_scalar\": %.3f, "
-          "\"bit_exact\": %s}",
+          "\"reconstruct_speedup_vs_scalar\": %.3f, \"bit_exact\": %s}",
           *first_row ? "" : ",\n", dims.str().c_str(), dtype,
           simd::level_name(level), mb / pqd_s, scalar_pqd / pqd_s, mb / rec_s,
-          scalar_rec / rec_s,
-          static_cast<double>(pqd.codes.size() * 2) / 1e6 / hist_s,
-          scalar_hist / hist_s, exact ? "true" : "false");
+          scalar_rec / rec_s, exact ? "true" : "false");
       *first_row = false;
     }
   }

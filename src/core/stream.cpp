@@ -71,17 +71,16 @@ Dims chunk_dims(const Dims& dims, std::size_t planes) {
   return Dims::d3(planes, dims[1], dims[2]);
 }
 
-/// Chunk-parallel archive decode: every chunk is an independent wave
-/// container with a known plane placement (index i covers planes starting
-/// at i * chunk_planes), so whole chunks go to a worker pool and each is
-/// decoded serially into its own slice of the preallocated output. Plane
-/// counts are validated against the archive geometry chunk by chunk, which
-/// subsumes the serial path's contiguity check.
+/// Archive decode, serial at decode budget 1: every chunk is an
+/// independent wave container with a known plane placement (index i covers
+/// planes starting at i * chunk_planes), so whole chunks go to a worker
+/// pool and each is decoded serially into its own slice of the
+/// preallocated output. Plane counts and plane shapes are validated
+/// against the archive geometry chunk by chunk.
 template <typename T>
-std::vector<T> stream_decompress_par_t(std::span<const std::uint8_t> bytes,
-                                       Dims* dims_out,
-                                       const sz::DecodeOptions& opts) {
-  telemetry::Span span_all(telemetry::spans::kStreamDecodeParallel);
+std::vector<T> stream_decompress_t(std::span<const std::uint8_t> bytes,
+                                   Dims* dims_out,
+                                   const sz::DecodeOptions& opts) {
   ByteReader r(bytes);
   const auto idx = parse_index(bytes, r);
   const std::size_t nchunks = idx.chunks.size();
@@ -122,6 +121,7 @@ std::vector<T> stream_decompress_par_t(std::span<const std::uint8_t> bytes,
   if (nt <= 1) {
     for (std::size_t i = 0; i < nchunks; ++i) decode_one(i);
   } else {
+    telemetry::Span span_all(telemetry::spans::kStreamDecodeParallel);
     // Exceptions must not escape an OpenMP region (that terminates the
     // process); capture the first one and rethrow after the barrier.
     std::exception_ptr failure;
@@ -392,56 +392,34 @@ StreamChunk stream_decompress_chunk(std::span<const std::uint8_t> bytes,
   out.plane_count = cdims[0];
   WAVESZ_REQUIRE(out.first_plane + out.plane_count <= idx.dims[0],
                  "chunk exceeds archive geometry");
+  WAVESZ_REQUIRE(out.data.size() ==
+                     out.plane_count * (idx.dims.count() / idx.dims[0]),
+                 "chunk payload disagrees with archive geometry");
   return out;
 }
 
 std::vector<float> stream_decompress(std::span<const std::uint8_t> bytes,
                                      Dims* dims_out, int pqd_threads) {
-  ByteReader r(bytes);
-  const auto idx = parse_index(bytes, r);
-  std::vector<float> out;
-  std::size_t planes_seen = 0;
-  for (std::size_t i = 0; i < idx.chunks.size(); ++i) {
-    const auto chunk = stream_decompress_chunk(bytes, i, pqd_threads);
-    WAVESZ_REQUIRE(chunk.first_plane == planes_seen,
-                   "chunk sequence is not contiguous");
-    planes_seen += chunk.plane_count;
-    out.insert(out.end(), chunk.data.begin(), chunk.data.end());
-  }
-  WAVESZ_REQUIRE(planes_seen == idx.dims[0], "archive is missing planes");
-  if (dims_out != nullptr) *dims_out = idx.dims;
-  return out;
+  return stream_decompress_t<float>(bytes, dims_out,
+                                        sz::DecodeOptions{1, pqd_threads});
 }
 
 std::vector<double> stream_decompress64(std::span<const std::uint8_t> bytes,
                                         Dims* dims_out, int pqd_threads) {
-  ByteReader r(bytes);
-  const auto idx = parse_index(bytes, r);
-  std::vector<double> out;
-  std::size_t planes_seen = 0, col = 0;
-  for (const auto& [offset, size] : idx.chunks) {
-    Dims cdims;
-    const auto chunk = wave::decompress64(
-        bytes.subspan(idx.payload_base + offset, size), &cdims, pqd_threads);
-    planes_seen += cdims[0];
-    out.insert(out.end(), chunk.begin(), chunk.end());
-    (void)col;
-  }
-  WAVESZ_REQUIRE(planes_seen == idx.dims[0], "archive is missing planes");
-  if (dims_out != nullptr) *dims_out = idx.dims;
-  return out;
+  return stream_decompress_t<double>(bytes, dims_out,
+                                         sz::DecodeOptions{1, pqd_threads});
 }
 
 std::vector<float> stream_decompress(std::span<const std::uint8_t> bytes,
                                      const sz::DecodeOptions& opts,
                                      Dims* dims_out) {
-  return stream_decompress_par_t<float>(bytes, dims_out, opts);
+  return stream_decompress_t<float>(bytes, dims_out, opts);
 }
 
 std::vector<double> stream_decompress64(std::span<const std::uint8_t> bytes,
                                         const sz::DecodeOptions& opts,
                                         Dims* dims_out) {
-  return stream_decompress_par_t<double>(bytes, dims_out, opts);
+  return stream_decompress_t<double>(bytes, dims_out, opts);
 }
 
 }  // namespace wavesz::wave

@@ -7,6 +7,7 @@
 #include "sz/huffman_codec.hpp"
 #include "sz/predictor.hpp"
 #include "sz/szx.hpp"
+#include "sz/wavefront_pqd.hpp"
 #include "telemetry/span_names.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -23,6 +24,8 @@ template <>
 struct FpOps<float> {
   using Kernel = KernelResult;
   static constexpr std::uint8_t kDtype = 0;
+  static constexpr auto pqd_2d = &wave_pqd_2d;
+  static constexpr auto reconstruct_2d = &wave_reconstruct_2d;
   static auto quantize(const sz::LinearQuantizer& q, double pred,
                        float orig) {
     return q.quantize(pred, orig);
@@ -43,6 +46,8 @@ template <>
 struct FpOps<double> {
   using Kernel = KernelResult64;
   static constexpr std::uint8_t kDtype = 1;
+  static constexpr auto pqd_2d = &wave_pqd_2d_64;
+  static constexpr auto reconstruct_2d = &wave_reconstruct_2d_64;
   static auto quantize(const sz::LinearQuantizer& q, double pred,
                        double orig) {
     return q.quantize64(pred, orig);
@@ -100,82 +105,71 @@ typename FpOps<T>::Kernel wave_pqd_2d_t(std::span<T> wavefront,
   return out;
 }
 
-// Tiled anti-diagonal schedule over the (x, y) grid, mirroring the sz::
-// wavefront kernels: the 2D Lorenzo taps reach only coordinate-wise smaller
-// points, so a tile's dependencies live in coordinate-wise <= tiles — all on
-// strictly earlier diagonals t0 + t1. Each diagonal is one parallel batch;
-// the implicit barrier of the omp-for is the hyperplane boundary.
-constexpr std::size_t kTile0 = 64;
-constexpr std::size_t kTile1 = 64;
+/// Tile extent of the tiled kernels: the 2D Lorenzo taps reach only
+/// coordinate-wise smaller points, so sz::detail::for_each_tile may run all
+/// tiles of one (x, y) tile diagonal concurrently.
+constexpr sz::detail::Shape kTile{64, 64, 1};
 
-/// Wavefront-parallel twin of wave_pqd_2d_t. Codes are written by storage
-/// offset (the serial kernel's push order *is* storage order), the verbatim
+/// Tiled twin of wave_pqd_2d_t for budgets > 1. Codes are written by storage
+/// offset (the column walk's push order *is* storage order), the verbatim
 /// stream is rebuilt by a post-scan: code-0 points never get a writeback, so
 /// `wavefront` still holds their exact originals.
 template <typename T>
-typename FpOps<T>::Kernel wave_pqd_2d_par_t(std::span<T> wavefront,
-                                            const WavefrontLayout& layout,
-                                            const sz::LinearQuantizer& q,
-                                            [[maybe_unused]] int nt) {
+typename FpOps<T>::Kernel wave_pqd_2d_tiled_t(std::span<T> wavefront,
+                                              const WavefrontLayout& layout,
+                                              const sz::LinearQuantizer& q,
+                                              int nt) {
   WAVESZ_REQUIRE(wavefront.size() == layout.count(),
                  "wavefront size disagrees with layout");
   typename FpOps<T>::Kernel out;
   out.codes.assign(wavefront.size(), 0);
   std::uint16_t* const codes = out.codes.data();
   T* const wf = wavefront.data();
-  const std::size_t e0 = (layout.rows() + kTile0 - 1) / kTile0;
-  const std::size_t e1 = (layout.cols() + kTile1 - 1) / kTile1;
-  telemetry::counter_add(telemetry::Counter::PqdDiagonalBatches,
-                         e0 + e1 - 1);
-#ifdef _OPENMP
-#pragma omp parallel num_threads(nt)
-#endif
-  for (std::size_t d = 0; d < e0 + e1 - 1; ++d) {
-    const std::size_t t0_lo = d >= e1 ? d - e1 + 1 : 0;
-    const std::size_t t0_hi = std::min(e0 - 1, d);
-#ifdef _OPENMP
-#pragma omp for schedule(dynamic)
-#endif
-    for (std::size_t t0 = t0_lo; t0 <= t0_hi; ++t0) {
-      const std::size_t t1 = d - t0;
-      const std::size_t x_hi = std::min(layout.rows(), (t0 + 1) * kTile0);
-      const std::size_t y_hi = std::min(layout.cols(), (t1 + 1) * kTile1);
-      for (std::size_t x = t0 * kTile0; x < x_hi; ++x) {
-        for (std::size_t y = t1 * kTile1; y < y_hi; ++y) {
-          if (x == 0 || y == 0) continue;  // border: code 0, original stays
-          const std::size_t off = layout.offset(x, y);
-          const double pred =
-              sz::lorenzo2d(wf[layout.offset(x - 1, y - 1)],
-                            wf[layout.offset(x - 1, y)],
-                            wf[layout.offset(x, y - 1)]);
-          const auto r = FpOps<T>::quantize(q, pred, wf[off]);
-          if (r.code != 0) {
-            codes[off] = r.code;
-            wf[off] = r.reconstructed;
+  sz::detail::for_each_tile(
+      {layout.rows(), layout.cols(), 1}, kTile, nt,
+      [&](const sz::detail::TileBox& b) {
+        for (std::size_t x = b.lo0; x < b.hi0; ++x) {
+          for (std::size_t y = b.lo1; y < b.hi1; ++y) {
+            if (x == 0 || y == 0) continue;  // border: code 0, original stays
+            const std::size_t off = layout.offset(x, y);
+            const double pred =
+                sz::lorenzo2d(wf[layout.offset(x - 1, y - 1)],
+                              wf[layout.offset(x - 1, y)],
+                              wf[layout.offset(x, y - 1)]);
+            const auto r = FpOps<T>::quantize(q, pred, wf[off]);
+            if (r.code != 0) {
+              codes[off] = r.code;
+              wf[off] = r.reconstructed;
+            }
           }
         }
-      }
-    }
-    // implicit omp-for barrier: diagonal d is complete before d + 1 starts
-  }
+      });
   for (std::size_t i = 0; i < out.codes.size(); ++i) {
     if (codes[i] == 0) out.verbatim.push_back(wavefront[i]);
   }
   return out;
 }
 
+/// Inverse of wave_pqd_2d_t: column-major walk over the first `h_end`
+/// wavefront columns (layout.column_count() for the whole grid). The
+/// stream is ordered by column h = x + y and the Lorenzo taps reach only
+/// into columns < h, so {points with x + y < h_end} is dependency-closed:
+/// the result is exactly the first layout.column_start(h_end) values of the
+/// full reconstruction, decoded from that many codes.
 template <typename T>
 std::vector<T> wave_reconstruct_2d_t(std::span<const std::uint16_t> codes,
                                      std::span<const T> verbatim,
                                      std::size_t* next_verbatim,
                                      const WavefrontLayout& layout,
-                                     const sz::LinearQuantizer& q) {
-  WAVESZ_REQUIRE(codes.size() == layout.count(),
+                                     const sz::LinearQuantizer& q,
+                                     std::size_t h_end) {
+  WAVESZ_REQUIRE(h_end <= layout.column_count(),
+                 "column prefix exceeds layout");
+  WAVESZ_REQUIRE(codes.size() == layout.column_start(h_end),
                  "code count disagrees with layout");
   std::vector<T> rec(codes.size());
-  const std::size_t cols = layout.column_count();
   std::size_t i = 0;
-  for (std::size_t h = 0; h < cols; ++h) {
+  for (std::size_t h = 0; h < h_end; ++h) {
     const std::size_t x_lo = layout.column_first_row(h);
     const std::size_t len = layout.column_length(h);
     for (std::size_t k = 0; k < len; ++k, ++i) {
@@ -198,16 +192,15 @@ std::vector<T> wave_reconstruct_2d_t(std::span<const std::uint16_t> codes,
   return rec;
 }
 
-/// Wavefront-parallel twin of wave_reconstruct_2d_t. Verbatim points are
-/// prefilled serially (they consume the stream in storage order and depend
-/// on nothing); the tiled sweep then reads them like any completed history.
+/// Tiled twin of wave_reconstruct_2d_t for budgets > 1. Verbatim points
+/// are prefilled serially (they consume the stream in storage order and
+/// depend on nothing); the tiled sweep then reads them like any completed
+/// history.
 template <typename T>
-std::vector<T> wave_reconstruct_2d_par_t(std::span<const std::uint16_t> codes,
-                                         std::span<const T> verbatim,
-                                         std::size_t* next_verbatim,
-                                         const WavefrontLayout& layout,
-                                         const sz::LinearQuantizer& q,
-                                         [[maybe_unused]] int nt) {
+std::vector<T> wave_reconstruct_2d_tiled_t(
+    std::span<const std::uint16_t> codes, std::span<const T> verbatim,
+    std::size_t* next_verbatim, const WavefrontLayout& layout,
+    const sz::LinearQuantizer& q, int nt) {
   WAVESZ_REQUIRE(codes.size() == layout.count(),
                  "code count disagrees with layout");
   std::vector<T> rec(codes.size());
@@ -219,61 +212,22 @@ std::vector<T> wave_reconstruct_2d_par_t(std::span<const std::uint16_t> codes,
     }
   }
   T* const r = rec.data();
-  const std::size_t e0 = (layout.rows() + kTile0 - 1) / kTile0;
-  const std::size_t e1 = (layout.cols() + kTile1 - 1) / kTile1;
-  telemetry::counter_add(telemetry::Counter::PqdDiagonalBatches,
-                         e0 + e1 - 1);
-#ifdef _OPENMP
-#pragma omp parallel num_threads(nt)
-#endif
-  for (std::size_t d = 0; d < e0 + e1 - 1; ++d) {
-    const std::size_t t0_lo = d >= e1 ? d - e1 + 1 : 0;
-    const std::size_t t0_hi = std::min(e0 - 1, d);
-#ifdef _OPENMP
-#pragma omp for schedule(dynamic)
-#endif
-    for (std::size_t t0 = t0_lo; t0 <= t0_hi; ++t0) {
-      const std::size_t t1 = d - t0;
-      const std::size_t x_hi = std::min(layout.rows(), (t0 + 1) * kTile0);
-      const std::size_t y_hi = std::min(layout.cols(), (t1 + 1) * kTile1);
-      for (std::size_t x = t0 * kTile0; x < x_hi; ++x) {
-        for (std::size_t y = t1 * kTile1; y < y_hi; ++y) {
-          const std::size_t off = layout.offset(x, y);
-          if (codes[off] == 0) continue;  // prefilled verbatim point
-          const double pred =
-              sz::lorenzo2d(r[layout.offset(x - 1, y - 1)],
-                            r[layout.offset(x - 1, y)],
-                            r[layout.offset(x, y - 1)]);
-          r[off] = FpOps<T>::reconstruct(q, pred, codes[off]);
+  sz::detail::for_each_tile(
+      {layout.rows(), layout.cols(), 1}, kTile, nt,
+      [&](const sz::detail::TileBox& b) {
+        for (std::size_t x = b.lo0; x < b.hi0; ++x) {
+          for (std::size_t y = b.lo1; y < b.hi1; ++y) {
+            const std::size_t off = layout.offset(x, y);
+            if (codes[off] == 0) continue;  // prefilled verbatim point
+            const double pred =
+                sz::lorenzo2d(r[layout.offset(x - 1, y - 1)],
+                              r[layout.offset(x - 1, y)],
+                              r[layout.offset(x, y - 1)]);
+            r[off] = FpOps<T>::reconstruct(q, pred, codes[off]);
+          }
         }
-      }
-    }
-  }
+      });
   return rec;
-}
-
-/// Budget-dispatched entry points shared by the kernels' public wrappers and
-/// the compress/decompress drivers.
-template <typename T>
-typename FpOps<T>::Kernel wave_pqd_2d_auto(std::span<T> wavefront,
-                                           const WavefrontLayout& layout,
-                                           const sz::LinearQuantizer& q,
-                                           int nt) {
-  return nt > 1 ? wave_pqd_2d_par_t<T>(wavefront, layout, q, nt)
-                : wave_pqd_2d_t<T>(wavefront, layout, q);
-}
-
-template <typename T>
-std::vector<T> wave_reconstruct_2d_auto(std::span<const std::uint16_t> codes,
-                                        std::span<const T> verbatim,
-                                        std::size_t* next_verbatim,
-                                        const WavefrontLayout& layout,
-                                        const sz::LinearQuantizer& q,
-                                        int nt) {
-  return nt > 1 ? wave_reconstruct_2d_par_t<T>(codes, verbatim, next_verbatim,
-                                               layout, q, nt)
-                : wave_reconstruct_2d_t<T>(codes, verbatim, next_verbatim,
-                                           layout, q);
 }
 
 /// 3D-Lorenzo PQD for one slice, the previous slice already reconstructed
@@ -405,7 +359,7 @@ class WaveStaged final : public sz::StagedCompressor {
       const Dims flat = dims_.flatten2d();
       const WavefrontLayout layout(flat[0], flat[1]);
       auto wf = to_wavefront(data_, layout);
-      kr_ = wave_pqd_2d_auto<T>(std::span<T>(wf), layout, q, pqd_nt_);
+      kr_ = FpOps<T>::pqd_2d(std::span<T>(wf), layout, q, pqd_nt_);
     } else {
       telemetry::Span span_pqd(telemetry::spans::kWavePqd3d);
       const std::size_t planes = dims_[0];
@@ -417,8 +371,8 @@ class WaveStaged final : public sz::StagedCompressor {
         auto cur = to_wavefront(data_.subspan(z * slice_points, slice_points),
                                 layout);
         if (z == 0) {
-          auto first = wave_pqd_2d_auto<T>(std::span<T>(cur), layout, q,
-                                           pqd_nt_);
+          auto first = FpOps<T>::pqd_2d(std::span<T>(cur), layout, q,
+                                        pqd_nt_);
           kr_.codes.insert(kr_.codes.end(), first.codes.begin(),
                            first.codes.end());
           kr_.verbatim.insert(kr_.verbatim.end(), first.verbatim.begin(),
@@ -596,8 +550,8 @@ std::vector<T> decompress_t(std::span<const std::uint8_t> bytes,
   if (mode == LayoutMode::Flatten2D || h.dims.rank <= 2) {
     const Dims flat = h.dims.flatten2d();
     const WavefrontLayout layout(flat[0], flat.rank >= 2 ? flat[1] : 1);
-    auto rec_wf = wave_reconstruct_2d_auto<T>(codes, verbatim, &next_verbatim,
-                                              layout, q, pqd_nt);
+    auto rec_wf = FpOps<T>::reconstruct_2d(codes, verbatim, &next_verbatim,
+                                           layout, q, pqd_nt);
     WAVESZ_REQUIRE(next_verbatim == verbatim.size(),
                    "verbatim stream has trailing values");
     return from_wavefront(std::span<const T>(rec_wf), layout);
@@ -615,8 +569,8 @@ std::vector<T> decompress_t(std::span<const std::uint8_t> bytes,
                                                       slice_points);
     std::vector<T> cur;
     if (z == 0) {
-      cur = wave_reconstruct_2d_auto<T>(slice_codes, verbatim, &next_verbatim,
-                                        layout, q, pqd_nt);
+      cur = FpOps<T>::reconstruct_2d(slice_codes, verbatim, &next_verbatim,
+                                     layout, q, pqd_nt);
     } else {
       cur.resize(slice_points);
       wave_reconstruct_slice3d<T>(slice_codes, verbatim, &next_verbatim,
@@ -629,46 +583,6 @@ std::vector<T> decompress_t(std::span<const std::uint8_t> bytes,
   WAVESZ_REQUIRE(next_verbatim == verbatim.size(),
                  "verbatim stream has trailing values");
   return out;
-}
-
-/// Reconstruct the first `h_end` wavefront columns from a code-stream
-/// prefix. The stream is ordered column-major by h = x + y and the Lorenzo
-/// taps reach only into columns < h, so {points with x + y < h_end} is
-/// dependency-closed and this reproduces exactly the first
-/// layout.column_start(h_end) values of the full reconstruction.
-template <typename T>
-std::vector<T> wave_reconstruct_2d_prefix(
-    std::span<const std::uint16_t> codes, std::span<const T> verbatim,
-    std::size_t* next_verbatim, const WavefrontLayout& layout,
-    std::size_t h_end, const sz::LinearQuantizer& q) {
-  WAVESZ_REQUIRE(h_end <= layout.column_count(),
-                 "column prefix exceeds layout");
-  const std::size_t points = layout.column_start(h_end);
-  WAVESZ_REQUIRE(codes.size() >= points,
-                 "code prefix shorter than the column prefix");
-  std::vector<T> rec(points);
-  std::size_t i = 0;
-  for (std::size_t h = 0; h < h_end; ++h) {
-    const std::size_t x_lo = layout.column_first_row(h);
-    const std::size_t len = layout.column_length(h);
-    for (std::size_t k = 0; k < len; ++k, ++i) {
-      const std::size_t x = x_lo + k;
-      const std::size_t y = h - x;
-      const std::size_t off = layout.column_start(h) + k;
-      if (codes[i] == 0) {
-        WAVESZ_REQUIRE(*next_verbatim < verbatim.size(),
-                       "verbatim stream exhausted");
-        rec[off] = verbatim[(*next_verbatim)++];
-      } else {
-        const double pred =
-            sz::lorenzo2d(rec[layout.offset(x - 1, y - 1)],
-                          rec[layout.offset(x - 1, y)],
-                          rec[layout.offset(x, y - 1)]);
-        rec[off] = FpOps<T>::reconstruct(q, pred, codes[i]);
-      }
-    }
-  }
-  return rec;
 }
 
 template <typename T>
@@ -779,8 +693,8 @@ sz::RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
   std::size_t next_verbatim = 0;
   res.data.reserve(rdims.count());
   if (flat2d) {
-    const auto rec = wave_reconstruct_2d_prefix<T>(
-        codes, verbatim, &next_verbatim, layout, h_end, q);
+    const auto rec = wave_reconstruct_2d_t<T>(codes, verbatim, &next_verbatim,
+                                              layout, q, h_end);
     for (std::size_t x = rg.lo[0]; x < rg.hi[0]; ++x) {
       for (std::size_t y = rg.lo[1]; y < rg.hi[1]; ++y) {
         for (std::size_t z = rg.lo[2]; z < rg.hi[2]; ++z) {
@@ -803,7 +717,7 @@ sz::RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
       std::vector<T> cur;
       if (z == 0) {
         cur = wave_reconstruct_2d_t<T>(slice_codes, verbatim, &next_verbatim,
-                                       layout, q);
+                                       layout, q, layout.column_count());
       } else {
         cur.resize(slice_points);
         wave_reconstruct_slice3d<T>(slice_codes, verbatim, &next_verbatim,
@@ -840,15 +754,17 @@ sz::Config default_config() {
 KernelResult wave_pqd_2d(std::span<float> wavefront,
                          const WavefrontLayout& layout,
                          const sz::LinearQuantizer& q, int threads) {
-  return wave_pqd_2d_auto<float>(wavefront, layout, q,
-                                 sz::resolve_thread_budget(threads));
+  const int nt = sz::resolve_thread_budget(threads);
+  return nt > 1 ? wave_pqd_2d_tiled_t<float>(wavefront, layout, q, nt)
+                : wave_pqd_2d_t<float>(wavefront, layout, q);
 }
 
 KernelResult64 wave_pqd_2d_64(std::span<double> wavefront,
                               const WavefrontLayout& layout,
                               const sz::LinearQuantizer& q, int threads) {
-  return wave_pqd_2d_auto<double>(wavefront, layout, q,
-                                  sz::resolve_thread_budget(threads));
+  const int nt = sz::resolve_thread_budget(threads);
+  return nt > 1 ? wave_pqd_2d_tiled_t<double>(wavefront, layout, q, nt)
+                : wave_pqd_2d_t<double>(wavefront, layout, q);
 }
 
 std::vector<float> wave_reconstruct_2d(std::span<const std::uint16_t> codes,
@@ -857,9 +773,26 @@ std::vector<float> wave_reconstruct_2d(std::span<const std::uint16_t> codes,
                                        const WavefrontLayout& layout,
                                        const sz::LinearQuantizer& q,
                                        int threads) {
-  return wave_reconstruct_2d_auto<float>(codes, verbatim, next_verbatim,
-                                         layout, q,
-                                         sz::resolve_thread_budget(threads));
+  const int nt = sz::resolve_thread_budget(threads);
+  return nt > 1 ? wave_reconstruct_2d_tiled_t<float>(codes, verbatim,
+                                                     next_verbatim, layout,
+                                                     q, nt)
+                : wave_reconstruct_2d_t<float>(codes, verbatim, next_verbatim,
+                                               layout, q,
+                                               layout.column_count());
+}
+
+std::vector<double> wave_reconstruct_2d_64(
+    std::span<const std::uint16_t> codes, std::span<const double> verbatim,
+    std::size_t* next_verbatim, const WavefrontLayout& layout,
+    const sz::LinearQuantizer& q, int threads) {
+  const int nt = sz::resolve_thread_budget(threads);
+  return nt > 1 ? wave_reconstruct_2d_tiled_t<double>(codes, verbatim,
+                                                      next_verbatim, layout,
+                                                      q, nt)
+                : wave_reconstruct_2d_t<double>(codes, verbatim,
+                                                next_verbatim, layout, q,
+                                                layout.column_count());
 }
 
 sz::Compressed compress(std::span<const float> data, const Dims& dims,

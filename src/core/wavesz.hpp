@@ -65,9 +65,15 @@ struct KernelResult64 {
   std::vector<double> verbatim;
 };
 
+/// float64 counterparts of wave_pqd_2d() and wave_reconstruct_2d().
 KernelResult64 wave_pqd_2d_64(std::span<double> wavefront,
                               const WavefrontLayout& layout,
                               const sz::LinearQuantizer& q, int threads = 1);
+
+std::vector<double> wave_reconstruct_2d_64(
+    std::span<const std::uint16_t> codes, std::span<const double> verbatim,
+    std::size_t* next_verbatim, const WavefrontLayout& layout,
+    const sz::LinearQuantizer& q, int threads = 1);
 
 /// Full waveSZ compression (float32).
 sz::Compressed compress(std::span<const float> data, const Dims& dims,

@@ -97,19 +97,10 @@ class Sz14Staged final : public StagedCompressor {
     WAVESZ_REQUIRE(!cfg_.chunk_index || cfg_.index_chunk_symbols > 0,
                    "index_chunk_symbols must be positive");
 
-    // pqd_threads > 1 switches to the tiled anti-diagonal wavefront
-    // schedule; the two kernels share per-point arithmetic
-    // (pqd_detail.hpp), so the codes, history and unpredictable stream are
-    // bit-identical either way.
-    const bool wavefront = pqd_nt_ > 1 && dims_.rank >= 2;
-    {
-      telemetry::Span span(wavefront ? telemetry::spans::kPqdWavefront
-                                     : telemetry::spans::kPqdRaster);
-      pqd_ = wavefront
-                 ? detail::lorenzo_pqd_wavefront_t<T>(data_, dims_, q,
-                                                      cfg_.predictor, pqd_nt_)
-                 : detail::lorenzo_pqd_t<T>(data_, dims_, q, cfg_.predictor);
-    }
+    // run_pqd picks the raster or the tiled anti-diagonal kernel; the two
+    // share per-point arithmetic (pqd_detail.hpp), so the codes, history
+    // and unpredictable stream are bit-identical either way.
+    pqd_ = detail::run_pqd<T>(data_, dims_, q, cfg_.predictor, pqd_nt_);
     telemetry::counter_add(telemetry::Counter::QuantUnpredictable,
                            pqd_.unpredictable.size());
     telemetry::counter_add(telemetry::Counter::QuantPredictable,
@@ -332,13 +323,7 @@ std::vector<T> decompress_t(std::span<const std::uint8_t> bytes,
   // Reconstruction is value-identical for every budget, so the decode pool
   // may as well drive it when it is the larger of the two.
   const int pqd_nt = std::max(resolve_thread_budget(opts.pqd_threads), nt);
-  if (pqd_nt > 1 && h.dims.rank >= 2) {
-    telemetry::Span span(telemetry::spans::kReconstructWavefront);
-    return detail::lorenzo_reconstruct_wavefront_t<T>(codes, unpred, h.dims,
-                                                      q, kind, pqd_nt);
-  }
-  telemetry::Span span(telemetry::spans::kReconstructRaster);
-  return detail::lorenzo_reconstruct_t<T>(codes, unpred, h.dims, q, kind);
+  return detail::run_reconstruct<T>(codes, unpred, h.dims, q, kind, pqd_nt);
 }
 
 /// Copy the hyperslab out of a row-major (partial or full) field whose
@@ -468,16 +453,9 @@ RegionResultT<T> decompress_region_t(std::span<const std::uint8_t> bytes,
   Dims pdims = h.dims;
   pdims.extent[0] = rg.hi[0];
   codes.resize(need_symbols);
-  std::vector<T> field;
   const int recon_nt = std::max(resolve_thread_budget(opts.pqd_threads), nt);
-  if (recon_nt > 1 && pdims.rank >= 2) {
-    telemetry::Span span(telemetry::spans::kReconstructWavefront);
-    field = detail::lorenzo_reconstruct_wavefront_t<T>(codes, unpred, pdims,
-                                                       q, kind, recon_nt);
-  } else {
-    telemetry::Span span(telemetry::spans::kReconstructRaster);
-    field = detail::lorenzo_reconstruct_t<T>(codes, unpred, pdims, q, kind);
-  }
+  const std::vector<T> field =
+      detail::run_reconstruct<T>(codes, unpred, pdims, q, kind, recon_nt);
   res.data = gather_region(field, pdims, rg, rdims);
   res.compressed_bytes_read =
       meta_bytes + 8 + code_consumed + 8 + unpred_consumed;
@@ -497,30 +475,31 @@ double value_range(std::span<const double> data, int threads) {
 }
 
 Pqd lorenzo_pqd(std::span<const float> data, const Dims& dims,
-                const LinearQuantizer& q, PredictorKind kind) {
-  return detail::lorenzo_pqd_t<float>(data, dims, q, kind);
+                const LinearQuantizer& q, PredictorKind kind, int threads) {
+  return detail::run_pqd<float>(data, dims, q, kind, threads);
 }
 
 Pqd64 lorenzo_pqd64(std::span<const double> data, const Dims& dims,
-                    const LinearQuantizer& q, PredictorKind kind) {
-  return detail::lorenzo_pqd_t<double>(data, dims, q, kind);
+                    const LinearQuantizer& q, PredictorKind kind,
+                    int threads) {
+  return detail::run_pqd<double>(data, dims, q, kind, threads);
 }
 
 std::vector<float> lorenzo_reconstruct(std::span<const std::uint16_t> codes,
                                        std::span<const float> unpredictable,
                                        const Dims& dims,
                                        const LinearQuantizer& q,
-                                       PredictorKind kind) {
-  return detail::lorenzo_reconstruct_t<float>(codes, unpredictable, dims, q,
-                                              kind);
+                                       PredictorKind kind, int threads) {
+  return detail::run_reconstruct<float>(codes, unpredictable, dims, q, kind,
+                                        threads);
 }
 
 std::vector<double> lorenzo_reconstruct64(
     std::span<const std::uint16_t> codes,
     std::span<const double> unpredictable, const Dims& dims,
-    const LinearQuantizer& q, PredictorKind kind) {
-  return detail::lorenzo_reconstruct_t<double>(codes, unpredictable, dims, q,
-                                               kind);
+    const LinearQuantizer& q, PredictorKind kind, int threads) {
+  return detail::run_reconstruct<double>(codes, unpredictable, dims, q, kind,
+                                         threads);
 }
 
 std::unique_ptr<StagedCompressor> make_staged(std::span<const float> data,

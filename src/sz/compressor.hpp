@@ -28,17 +28,23 @@ struct Pqd {
   std::vector<float> unpredictable;    ///< originals of code-0 points, in order
 };
 
-/// Lorenzo PQD in raster order with zero-padded borders (rank 1/2/3).
+/// Lorenzo PQD with zero-padded borders (rank 1/2/3). `threads` is a
+/// budget with Config::pqd_threads semantics (0 = all OpenMP threads,
+/// n = at most n); rank >= 2 fields run the tiled anti-diagonal schedule
+/// (sz/wavefront_pqd.hpp) when the budget or the SIMD level allows it.
+/// The output is bit-identical to the raster-order kernel at every budget.
 Pqd lorenzo_pqd(std::span<const float> data, const Dims& dims,
                 const LinearQuantizer& q,
-                PredictorKind kind = PredictorKind::Lorenzo1Layer);
+                PredictorKind kind = PredictorKind::Lorenzo1Layer,
+                int threads = 1);
 
 /// Rebuild the reconstructed field from codes + unpredictable values; the
 /// unpredictable values must already be decompressor-visible (truncated).
+/// Same `threads` semantics and bit-exactness as lorenzo_pqd().
 std::vector<float> lorenzo_reconstruct(
     std::span<const std::uint16_t> codes, std::span<const float> unpredictable,
     const Dims& dims, const LinearQuantizer& q,
-    PredictorKind kind = PredictorKind::Lorenzo1Layer);
+    PredictorKind kind = PredictorKind::Lorenzo1Layer, int threads = 1);
 
 /// float64 counterpart of Pqd.
 struct Pqd64 {
@@ -49,13 +55,14 @@ struct Pqd64 {
 
 Pqd64 lorenzo_pqd64(std::span<const double> data, const Dims& dims,
                     const LinearQuantizer& q,
-                    PredictorKind kind = PredictorKind::Lorenzo1Layer);
+                    PredictorKind kind = PredictorKind::Lorenzo1Layer,
+                    int threads = 1);
 
 std::vector<double> lorenzo_reconstruct64(
     std::span<const std::uint16_t> codes,
     std::span<const double> unpredictable, const Dims& dims,
     const LinearQuantizer& q,
-    PredictorKind kind = PredictorKind::Lorenzo1Layer);
+    PredictorKind kind = PredictorKind::Lorenzo1Layer, int threads = 1);
 
 /// Value range (max - min) of a field, computed with up to `threads` OpenMP
 /// threads (budget semantics of Config::pqd_threads). Deterministic and

@@ -13,7 +13,6 @@
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/huffman.hpp"
-#include "util/simd.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -46,9 +45,15 @@ std::vector<std::size_t> chunk_bounds(std::size_t n, int parts) {
 
 std::vector<std::uint64_t> frequencies(std::span<const std::uint16_t> codes,
                                        int nt) {
+  // Plain counting loop: a striped four-table SIMD variant did not pay end
+  // to end and was removed (EXPERIMENTS.md, "Runtime SIMD dispatch sweep").
+  const auto count = [&codes](std::size_t lo, std::size_t hi,
+                              std::uint64_t* f) {
+    for (std::size_t i = lo; i < hi; ++i) ++f[codes[i]];
+  };
   std::vector<std::uint64_t> freq(kAlphabet, 0);
   if (nt <= 1) {
-    simd::histogram_u16(codes.data(), codes.size(), freq.data());
+    count(0, codes.size(), freq.data());
     return freq;
   }
   // Per-thread histograms, reduced serially: 65536 * nt adds, trivial next
@@ -64,7 +69,7 @@ std::vector<std::uint64_t> frequencies(std::span<const std::uint16_t> codes,
     mine.assign(kAlphabet, 0);
     const std::size_t lo = bounds[static_cast<std::size_t>(t)];
     const std::size_t hi = bounds[static_cast<std::size_t>(t) + 1];
-    simd::histogram_u16(codes.data() + lo, hi - lo, mine.data());
+    count(lo, hi, mine.data());
   }
   for (const auto& mine : local) {
     for (std::size_t s = 0; s < kAlphabet; ++s) freq[s] += mine[s];

@@ -1,8 +1,9 @@
 // Internal building blocks of the SZ-1.4 Lorenzo PQD kernels, shared by the
-// raster-order reference loop (compressor.cpp) and the tiled anti-diagonal
-// wavefront schedule (wavefront_pqd.cpp).
+// raster-order kernel below (the budget-1 path for shapes without a SIMD
+// schedule, and the test oracle) and the tiled anti-diagonal kernel
+// (wavefront_pqd.cpp).
 //
-// The two schedules must produce bit-identical results — the wavefront mode
+// The two schedules must produce bit-identical results — the tiled kernel
 // only changes the visit order, never a point's arithmetic — so everything a
 // point computes (prediction path selection, stencil term order, quantizer
 // entry, history writeback) lives here exactly once and both kernels inline
@@ -10,7 +11,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -23,7 +23,6 @@
 #include "sz/unpredictable.hpp"
 #include "util/dims.hpp"
 #include "util/error.hpp"
-#include "util/simd.hpp"
 
 namespace wavesz::sz::detail {
 
@@ -208,125 +207,8 @@ inline T reconstruct_step(const std::uint16_t* codes, const T* rec,
   return FpOps<T>::reconstruct(q, pred, codes[i]);
 }
 
-/// POD view of the quantizer for the simd kernels (which must not depend on
-/// the sz layer).
-inline simd::QuantSpec quant_spec(const LinearQuantizer& q) {
-  return {q.precision(), q.inv_precision(),
-          static_cast<std::int64_t>(q.capacity()),
-          static_cast<std::int64_t>(q.radius())};
-}
-
-/// The vectorized PQD path covers the 1-layer Lorenzo rank-2 stencil (the
-/// shape the wavefront schedule and vecSZ target); everything else runs the
-/// scalar kernels regardless of the dispatch level.
-inline bool simd_pqd_eligible(const Dims& dims, PredictorKind kind) {
-  return kind == PredictorKind::Lorenzo1Layer && dims.rank == 2 &&
-         simd::active() != simd::Level::Scalar;
-}
-
-/// Tile edge of the serial SIMD schedule: big enough that interior
-/// anti-diagonal runs fill whole vector chunks, small enough that a tile's
-/// working set (4 arrays x 64 rows) stays cache-resident. Matches the
-/// wavefront tile edge, so both schedules cut identical diagonals.
-inline constexpr std::size_t kSimdTile = 64;
-
-/// Compress-side PQD of one rank-2 tile [lo0,hi0) x [lo1,hi1) in tile-local
-/// anti-diagonal order: grid-border lanes (i0 == 0 or i1 == 0, reduced
-/// stencil) are peeled to scalar pqd_step, interior lanes run through
-/// simd::pqd2d_diag in kMaxDiagLanes chunks, and unpredictable lanes get
-/// their history patched (truncation roundtrip) before the next diagonal —
-/// the exact writeback order of the raster kernel, just revisited.
-/// Requires every tile above and left of this one to be complete.
-template <typename T>
-void pqd_tile_simd(const T* data, T* rec, std::uint16_t* codes,
-                   const Padded<T>& padded, const LinearQuantizer& q,
-                   const Dims& dims, PredictorKind kind,
-                   const simd::QuantSpec& spec, std::size_t s0,
-                   std::size_t lo0, std::size_t hi0, std::size_t lo1,
-                   std::size_t hi1) {
-  const std::size_t h = hi0 - lo0, w = hi1 - lo1;
-  const std::size_t st = s0 - 1;
-  for (std::size_t ld = 0; ld + 1 < h + w; ++ld) {
-    std::size_t l0 = ld >= w ? ld - w + 1 : 0;
-    std::size_t l0end = std::min(h, ld + 1);
-    if (lo0 == 0 && l0 == 0) {
-      // Lane (0, lo1 + ld): top grid row, reduced stencil.
-      const std::size_t i1 = lo1 + ld;
-      pqd_step(data, rec, codes, padded, q, dims, kind, true, s0,
-               std::size_t{1}, std::size_t{0}, i1, std::size_t{0}, i1);
-      ++l0;
-    }
-    const bool tail = lo1 == 0 && ld < h && l0end > l0;
-    if (tail) --l0end;  // lane (lo0 + ld, 0): left grid column
-    std::size_t run = l0end > l0 ? l0end - l0 : 0;
-    std::size_t base = (lo0 + l0) * s0 + (lo1 + ld - l0);
-    while (run > 0) {
-      const std::size_t chunk = std::min(run, simd::kMaxDiagLanes);
-      std::uint64_t miss =
-          simd::pqd2d_diag(data, rec, codes, base, s0, chunk, spec);
-      while (miss != 0) {
-        const auto j = static_cast<std::size_t>(std::countr_zero(miss));
-        miss &= miss - 1;
-        const std::size_t u = base + j * st;
-        rec[u] = FpOps<T>::roundtrip(data[u], q.precision());
-      }
-      base += chunk * st;
-      run -= chunk;
-    }
-    if (tail) {
-      const std::size_t i0 = lo0 + ld;
-      pqd_step(data, rec, codes, padded, q, dims, kind, true, s0,
-               std::size_t{1}, i0, std::size_t{0}, std::size_t{0}, i0 * s0);
-    }
-  }
-}
-
-/// Decode-side counterpart of pqd_tile_simd: same lane geometry, code-0
-/// lanes skipped (the caller pre-places their unpredictable values in rec).
-template <typename T>
-void reconstruct_tile_simd(const std::uint16_t* codes, T* rec,
-                           const Padded<T>& padded, const LinearQuantizer& q,
-                           const Dims& dims, PredictorKind kind,
-                           const simd::QuantSpec& spec, std::size_t s0,
-                           std::size_t lo0, std::size_t hi0, std::size_t lo1,
-                           std::size_t hi1) {
-  const std::size_t h = hi0 - lo0, w = hi1 - lo1;
-  for (std::size_t ld = 0; ld + 1 < h + w; ++ld) {
-    std::size_t l0 = ld >= w ? ld - w + 1 : 0;
-    std::size_t l0end = std::min(h, ld + 1);
-    if (lo0 == 0 && l0 == 0) {
-      const std::size_t i1 = lo1 + ld;
-      if (codes[i1] != 0) {
-        rec[i1] = reconstruct_step(codes, rec, padded, q, dims, kind, true,
-                                   s0, std::size_t{1}, std::size_t{0}, i1,
-                                   std::size_t{0}, i1);
-      }
-      ++l0;
-    }
-    const bool tail = lo1 == 0 && ld < h && l0end > l0;
-    if (tail) --l0end;
-    std::size_t run = l0end > l0 ? l0end - l0 : 0;
-    std::size_t base = (lo0 + l0) * s0 + (lo1 + ld - l0);
-    while (run > 0) {
-      const std::size_t chunk = std::min(run, simd::kMaxDiagLanes);
-      simd::reconstruct2d_diag(codes, rec, base, s0, chunk, spec);
-      base += chunk * (s0 - 1);
-      run -= chunk;
-    }
-    if (tail) {
-      const std::size_t i0 = lo0 + ld;
-      const std::size_t i = i0 * s0;
-      if (codes[i] != 0) {
-        rec[i] = reconstruct_step(codes, rec, padded, q, dims, kind, true,
-                                  s0, std::size_t{1}, i0, std::size_t{0},
-                                  std::size_t{0}, i);
-      }
-    }
-  }
-}
-
-/// Raster-order reference PQD (the historical serial kernel; stays as the
-/// runtime-selectable oracle for the vectorized schedule).
+/// Raster-order PQD: the serial kernel for shapes the tiled kernel does not
+/// take at budget 1, and the oracle every other schedule is tested against.
 template <typename T>
 typename FpOps<T>::PqdType lorenzo_pqd_scalar_t(
     std::span<const T> data, const Dims& dims, const LinearQuantizer& q,
@@ -354,7 +236,7 @@ typename FpOps<T>::PqdType lorenzo_pqd_scalar_t(
   return out;
 }
 
-/// Raster-order reference reconstruction (scalar oracle).
+/// Raster-order reconstruction, the counterpart of lorenzo_pqd_scalar_t.
 template <typename T>
 std::vector<T> lorenzo_reconstruct_scalar_t(
     std::span<const std::uint16_t> codes, std::span<const T> unpredictable,
@@ -387,96 +269,6 @@ std::vector<T> lorenzo_reconstruct_scalar_t(
   WAVESZ_REQUIRE(next_unpred == unpredictable.size(),
                  "unpredictable stream has trailing values");
   return rec;
-}
-
-/// Serial rank-2 PQD over cache-sized tiles in tile-raster order (each
-/// tile's up/left dependencies complete before it runs), with the tile
-/// interior vectorized along anti-diagonals. Bit-identical to the raster
-/// reference: only the visit order changes, never a point's arithmetic.
-template <typename T>
-typename FpOps<T>::PqdType lorenzo_pqd_simd2d_t(
-    std::span<const T> data, const Dims& dims, const LinearQuantizer& q,
-    PredictorKind kind) {
-  WAVESZ_REQUIRE(data.size() == dims.count(), "data size disagrees with dims");
-  const auto [n0, n1, n2] = shape_of(dims);
-  typename FpOps<T>::PqdType out;
-  out.codes.resize(data.size());
-  out.reconstructed.resize(data.size());
-  T* rec = out.reconstructed.data();
-  const Padded<T> padded{rec, n0, n1, n2};
-  const std::size_t s0 = n1 * n2;  // n2 == 1 at rank 2
-  const simd::QuantSpec spec = quant_spec(q);
-  for (std::size_t t0 = 0; t0 < n0; t0 += kSimdTile) {
-    for (std::size_t t1 = 0; t1 < n1; t1 += kSimdTile) {
-      pqd_tile_simd(data.data(), rec, out.codes.data(), padded, q, dims,
-                    kind, spec, s0, t0, std::min(n0, t0 + kSimdTile), t1,
-                    std::min(n1, t1 + kSimdTile));
-    }
-  }
-  // The unpredictable stream is defined in raster order; splice it from the
-  // code plane after the tile sweep.
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (out.codes[i] == 0) out.unpredictable.push_back(data[i]);
-  }
-  return out;
-}
-
-template <typename T>
-std::vector<T> lorenzo_reconstruct_simd2d_t(
-    std::span<const std::uint16_t> codes, std::span<const T> unpredictable,
-    const Dims& dims, const LinearQuantizer& q, PredictorKind kind) {
-  WAVESZ_REQUIRE(codes.size() == dims.count(),
-                 "code count disagrees with dims");
-  const auto [n0, n1, n2] = shape_of(dims);
-  std::vector<T> rec(codes.size());
-  const Padded<T> padded{rec.data(), n0, n1, n2};
-  const std::size_t s0 = n1 * n2;
-  const simd::QuantSpec spec = quant_spec(q);
-  // Pre-place the raster-order unpredictable stream into its code-0 slots so
-  // tiles only ever read finished history.
-  std::size_t next_unpred = 0;
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    if (codes[i] == 0) {
-      WAVESZ_REQUIRE(next_unpred < unpredictable.size(),
-                     "unpredictable stream exhausted");
-      rec[i] = unpredictable[next_unpred++];
-    }
-  }
-  WAVESZ_REQUIRE(next_unpred == unpredictable.size(),
-                 "unpredictable stream has trailing values");
-  for (std::size_t t0 = 0; t0 < n0; t0 += kSimdTile) {
-    for (std::size_t t1 = 0; t1 < n1; t1 += kSimdTile) {
-      reconstruct_tile_simd(codes.data(), rec.data(), padded, q, dims, kind,
-                            spec, s0, t0, std::min(n0, t0 + kSimdTile), t1,
-                            std::min(n1, t1 + kSimdTile));
-    }
-  }
-  return rec;
-}
-
-/// Serial PQD entry point: the vectorized schedule when the shape and the
-/// active simd level allow it, the raster reference otherwise.
-template <typename T>
-typename FpOps<T>::PqdType lorenzo_pqd_t(
-    std::span<const T> data, const Dims& dims, const LinearQuantizer& q,
-    PredictorKind kind = PredictorKind::Lorenzo1Layer) {
-  if (simd_pqd_eligible(dims, kind)) {
-    return lorenzo_pqd_simd2d_t<T>(data, dims, q, kind);
-  }
-  return lorenzo_pqd_scalar_t<T>(data, dims, q, kind);
-}
-
-template <typename T>
-std::vector<T> lorenzo_reconstruct_t(
-    std::span<const std::uint16_t> codes, std::span<const T> unpredictable,
-    const Dims& dims, const LinearQuantizer& q,
-    PredictorKind kind = PredictorKind::Lorenzo1Layer) {
-  if (simd_pqd_eligible(dims, kind)) {
-    return lorenzo_reconstruct_simd2d_t<T>(codes, unpredictable, dims, q,
-                                           kind);
-  }
-  return lorenzo_reconstruct_scalar_t<T>(codes, unpredictable, dims, q,
-                                         kind);
 }
 
 }  // namespace wavesz::sz::detail

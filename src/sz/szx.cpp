@@ -188,13 +188,12 @@ Compressed szx_compress_t(std::span<const T> data, const Dims& dims,
   return out;
 }
 
+// No span here: every caller (sz decompress_t, the wave container
+// dispatch, region decode) already holds an instrumented one, and opening
+// sz::decompress again would nest the span in itself and double-count it.
 template <typename T>
-// No histogram/hw binding here: every caller (sz decompress_t, the wave
-// container dispatch, region decode) already holds an instrumented span, and
-// nesting two would double-count DecompressNs.
 std::vector<T> szx_decompress_t(std::span<const std::uint8_t> bytes,
                                 Dims* dims_out) {
-  telemetry::Span span_all(telemetry::spans::kSzDecompress);
   ByteReader r(bytes);
   const ContainerHeader h = read_header(r);
   WAVESZ_REQUIRE(h.variant == Variant::SzxFast,

@@ -23,7 +23,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <type_traits>
-#include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define WAVESZ_SIMD_X86 1
@@ -129,11 +128,6 @@ void reconstruct2d_diag_scalar(const std::uint16_t* codes, T* rec,
   }
 }
 
-void histogram_scalar(const std::uint16_t* codes, std::size_t n,
-                      std::uint64_t* freq) {
-  for (std::size_t i = 0; i < n; ++i) ++freq[codes[i]];
-}
-
 template <typename T>
 void minmax_scalar(const T* data, std::size_t n, double* lo, double* hi) {
   double l = *lo, h = *hi;
@@ -154,31 +148,6 @@ std::size_t bound_scan_scalar(const float* o, const float* d, std::size_t n,
     if (!(e <= thr)) return i;
   }
   return static_cast<std::size_t>(-1);
-}
-
-// Interleaved sub-table counting shared by the SSE2/AVX2 histogram paths;
-// the vector part is the table reduction, the counting itself is scalar but
-// striped four ways so consecutive equal symbols don't serialize on one
-// store-forwarded counter. Below the cutoff the plain loop wins.
-constexpr std::size_t kHistAlphabet = 65536;
-constexpr std::size_t kHistCutoff = std::size_t{1} << 14;
-
-std::vector<std::uint64_t> histogram_striped(const std::uint16_t* codes,
-                                             std::size_t n) {
-  std::vector<std::uint64_t> tables(4 * kHistAlphabet, 0);
-  std::uint64_t* t0 = tables.data();
-  std::uint64_t* t1 = t0 + kHistAlphabet;
-  std::uint64_t* t2 = t1 + kHistAlphabet;
-  std::uint64_t* t3 = t2 + kHistAlphabet;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    ++t0[codes[i]];
-    ++t1[codes[i + 1]];
-    ++t2[codes[i + 2]];
-    ++t3[codes[i + 3]];
-  }
-  for (; i < n; ++i) ++t0[codes[i]];
-  return tables;
 }
 
 #if WAVESZ_SIMD_X86
@@ -355,31 +324,6 @@ void reconstruct2d_diag_sse2(const std::uint16_t* codes, T* rec,
   reconstruct2d_diag_pairs<T>(codes, rec, base, s0, n, qs);
 }
 
-void histogram_sse2(const std::uint16_t* codes, std::size_t n,
-                    std::uint64_t* freq) {
-  if (n < kHistCutoff) {
-    histogram_scalar(codes, n, freq);
-    return;
-  }
-  const auto tables = histogram_striped(codes, n);
-  const std::uint64_t* t0 = tables.data();
-  const std::uint64_t* t1 = t0 + kHistAlphabet;
-  const std::uint64_t* t2 = t1 + kHistAlphabet;
-  const std::uint64_t* t3 = t2 + kHistAlphabet;
-  for (std::size_t s = 0; s < kHistAlphabet; s += 2) {
-    const __m128i a = _mm_add_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t0 + s)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t1 + s)));
-    const __m128i b = _mm_add_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t2 + s)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t3 + s)));
-    const __m128i f =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(freq + s));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(freq + s),
-                     _mm_add_epi64(f, _mm_add_epi64(a, b)));
-  }
-}
-
 template <typename T>
 void minmax_sse2(const T* data, std::size_t n, double* lo, double* hi) {
   __m128d vlo = _mm_set1_pd(*lo);
@@ -454,7 +398,7 @@ std::size_t bound_scan_sse2(const float* o, const float* d, std::size_t n,
 // the AVX2 target rather than widening to four double lanes: GCC inlines a
 // baseline always_inline callee into a higher-target caller, so these
 // wrappers get full VEX three-operand codegen of the shared body. The
-// contiguous-access kernels (histogram reduction, minmax, bound_scan) do
+// contiguous-access kernels (minmax, bound_scan) do
 // use 256-bit vectors — sequential loads are where the width pays.
 // ---------------------------------------------------------------------------
 
@@ -470,31 +414,6 @@ __attribute__((target("avx2"))) void reconstruct2d_diag_avx2(
     const std::uint16_t* codes, T* rec, std::size_t base, std::size_t s0,
     std::size_t n, const QuantSpec& qs) {
   reconstruct2d_diag_pairs<T>(codes, rec, base, s0, n, qs);
-}
-
-__attribute__((target("avx2"))) void histogram_avx2(
-    const std::uint16_t* codes, std::size_t n, std::uint64_t* freq) {
-  if (n < kHistCutoff) {
-    histogram_scalar(codes, n, freq);
-    return;
-  }
-  const auto tables = histogram_striped(codes, n);
-  const std::uint64_t* t0 = tables.data();
-  const std::uint64_t* t1 = t0 + kHistAlphabet;
-  const std::uint64_t* t2 = t1 + kHistAlphabet;
-  const std::uint64_t* t3 = t2 + kHistAlphabet;
-  for (std::size_t s = 0; s < kHistAlphabet; s += 4) {
-    const __m256i a = _mm256_add_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t0 + s)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t1 + s)));
-    const __m256i b = _mm256_add_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t2 + s)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t3 + s)));
-    const __m256i f =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(freq + s));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(freq + s),
-                        _mm256_add_epi64(f, _mm256_add_epi64(a, b)));
-  }
 }
 
 template <typename T>
@@ -675,23 +594,6 @@ void reconstruct2d_diag(const std::uint16_t* codes, double* rec,
                         std::size_t base, std::size_t s0, std::size_t n,
                         const QuantSpec& q) {
   reconstruct2d_diag_t<double>(codes, rec, base, s0, n, q);
-}
-
-void histogram_u16(const std::uint16_t* codes, std::size_t n,
-                   std::uint64_t* freq) {
-  switch (active()) {
-#if WAVESZ_SIMD_X86
-    case Level::Avx2:
-      histogram_avx2(codes, n, freq);
-      return;
-    case Level::Sse2:
-      histogram_sse2(codes, n, freq);
-      return;
-#endif
-    default:
-      histogram_scalar(codes, n, freq);
-      return;
-  }
 }
 
 void minmax(const float* data, std::size_t n, double* lo, double* hi) {

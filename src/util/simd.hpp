@@ -90,13 +90,6 @@ void reconstruct2d_diag(const std::uint16_t* codes, double* rec,
                         std::size_t base, std::size_t s0, std::size_t n,
                         const QuantSpec& q);
 
-/// freq[c] += count of c in codes[0, n) for every 16-bit symbol. The
-/// vectorized paths count into interleaved sub-tables (dodging
-/// store-forward stalls on skewed symbol distributions) and reduce them
-/// with wide adds; counts are integers, so the result is exact.
-void histogram_u16(const std::uint16_t* codes, std::size_t n,
-                   std::uint64_t* freq);
-
 /// Fold min/max over data[0, n) into *lo / *hi (callers seed both, usually
 /// with data[0], matching the serial scan's NaN-poisoning semantics): NaN
 /// elements never become the extremum, a NaN seed sticks.

@@ -1,9 +1,9 @@
 // Bit-exact parity of the wavefront-scheduled (tiled anti-diagonal) PQD
-// kernels against the serial raster reference: same codes, same
+// kernels against the serial raster kernel: same codes, same
 // reconstructed history, same unpredictable stream, byte-identical
 // containers — across ranks, degenerate shapes, both dtypes, both
-// predictors and several thread budgets. The wavefront schedule only moves
-// the visit order; any observable difference is a bug.
+// predictors, every SIMD level and several thread budgets. The wavefront
+// schedule only moves the visit order; any observable difference is a bug.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +20,7 @@
 #include "sz/wavefront_pqd.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/dims.hpp"
+#include "util/simd.hpp"
 
 namespace wavesz {
 namespace {
@@ -76,6 +77,7 @@ std::vector<Dims> parity_shapes() {
 template <typename T>
 void expect_same_values(const std::vector<T>& a, const std::vector<T>& b) {
   ASSERT_EQ(a.size(), b.size());
+  if (a.empty()) return;  // data() may be null, which memcmp must not get
   // memcmp, not ==: bit-exactness is the claim, and it must hold for -0.0
   // and any NaNs too.
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(T)));
@@ -83,90 +85,114 @@ void expect_same_values(const std::vector<T>& a, const std::vector<T>& b) {
 
 // ------------------------------------------------- kernel-level parity
 
-template <typename T, typename PqdFn, typename WaveFn>
-void kernel_parity(PqdFn serial, WaveFn wavefront, sz::PredictorKind kind) {
+// The raster kernels are the only oracle: every budget and every SIMD level
+// of the production entry points must reproduce them bit for bit.
+
+std::vector<simd::Level> sweep_levels() {
+  std::vector<simd::Level> out{simd::Level::Scalar};
+  if (simd::detected() >= simd::Level::Sse2) out.push_back(simd::Level::Sse2);
+  if (simd::detected() >= simd::Level::Avx2) out.push_back(simd::Level::Avx2);
+  return out;
+}
+
+struct LevelOverride {
+  simd::Level saved = simd::active();
+  explicit LevelOverride(simd::Level l) { simd::set_level(l); }
+  ~LevelOverride() { simd::set_level(saved); }
+};
+
+template <typename T, typename PqdFn>
+void pqd_parity(PqdFn entry, sz::PredictorKind kind) {
   const FloorOverride no_floor(0);
   const sz::LinearQuantizer q(1e-3, 16);
   for (const Dims& dims : parity_shapes()) {
     if (kind == sz::PredictorKind::Lorenzo2Layer && dims.rank > 2) continue;
     const auto data = make_field<T>(dims, 7u + dims.rank);
-    const auto ref = serial(data, dims, q, kind);
-    for (int nt : kBudgets) {
-      const auto par = wavefront(data, dims, q, kind, nt);
-      SCOPED_TRACE(dims.str() + " threads=" + std::to_string(nt));
-      EXPECT_EQ(ref.codes, par.codes);
-      expect_same_values(ref.reconstructed, par.reconstructed);
-      expect_same_values(ref.unpredictable, par.unpredictable);
+    const auto ref = sz::detail::lorenzo_pqd_scalar_t<T>(
+        std::span<const T>(data), dims, q, kind);
+    for (simd::Level level : sweep_levels()) {
+      const LevelOverride guard(level);
+      for (int nt : kBudgets) {
+        const auto par = entry(data, dims, q, kind, nt);
+        SCOPED_TRACE(dims.str() + " " + simd::level_name(level) +
+                     " threads=" + std::to_string(nt));
+        EXPECT_EQ(ref.codes, par.codes);
+        expect_same_values(ref.reconstructed, par.reconstructed);
+        expect_same_values(ref.unpredictable, par.unpredictable);
+      }
     }
   }
 }
 
 TEST(WavefrontParity, PqdKernelF32OneLayer) {
-  kernel_parity<float>(
-      [](auto d, auto dm, auto& q, auto k) {
-        return sz::lorenzo_pqd(d, dm, q, k);
-      },
+  pqd_parity<float>(
       [](auto d, auto dm, auto& q, auto k, int nt) {
-        return sz::lorenzo_pqd_wavefront(d, dm, q, k, nt);
+        return sz::lorenzo_pqd(d, dm, q, k, nt);
       },
       sz::PredictorKind::Lorenzo1Layer);
 }
 
 TEST(WavefrontParity, PqdKernelF32TwoLayer) {
-  kernel_parity<float>(
-      [](auto d, auto dm, auto& q, auto k) {
-        return sz::lorenzo_pqd(d, dm, q, k);
-      },
+  pqd_parity<float>(
       [](auto d, auto dm, auto& q, auto k, int nt) {
-        return sz::lorenzo_pqd_wavefront(d, dm, q, k, nt);
+        return sz::lorenzo_pqd(d, dm, q, k, nt);
       },
       sz::PredictorKind::Lorenzo2Layer);
 }
 
 TEST(WavefrontParity, PqdKernelF64OneLayer) {
-  kernel_parity<double>(
-      [](auto d, auto dm, auto& q, auto k) {
-        return sz::lorenzo_pqd64(d, dm, q, k);
-      },
+  pqd_parity<double>(
       [](auto d, auto dm, auto& q, auto k, int nt) {
-        return sz::lorenzo_pqd64_wavefront(d, dm, q, k, nt);
+        return sz::lorenzo_pqd64(d, dm, q, k, nt);
       },
       sz::PredictorKind::Lorenzo1Layer);
 }
 
 TEST(WavefrontParity, PqdKernelF64TwoLayer) {
-  kernel_parity<double>(
-      [](auto d, auto dm, auto& q, auto k) {
-        return sz::lorenzo_pqd64(d, dm, q, k);
-      },
+  pqd_parity<double>(
       [](auto d, auto dm, auto& q, auto k, int nt) {
-        return sz::lorenzo_pqd64_wavefront(d, dm, q, k, nt);
+        return sz::lorenzo_pqd64(d, dm, q, k, nt);
       },
       sz::PredictorKind::Lorenzo2Layer);
 }
 
-TEST(WavefrontParity, ReconstructKernelBothDtypes) {
+template <typename T, typename RecFn>
+void reconstruct_parity(RecFn entry, unsigned seed) {
   const FloorOverride no_floor(0);
   const sz::LinearQuantizer q(1e-3, 16);
-  for (const Dims& dims : parity_shapes()) {
-    const auto f32 = make_field<float>(dims, 11);
-    const auto pqd = sz::lorenzo_pqd(f32, dims, q);
-    const auto ref = sz::lorenzo_reconstruct(pqd.codes, pqd.unpredictable,
-                                             dims, q);
-    const auto f64 = make_field<double>(dims, 13);
-    const auto pqd64 = sz::lorenzo_pqd64(f64, dims, q);
-    const auto ref64 = sz::lorenzo_reconstruct64(
-        pqd64.codes, pqd64.unpredictable, dims, q);
-    for (int nt : kBudgets) {
-      SCOPED_TRACE(dims.str() + " threads=" + std::to_string(nt));
-      expect_same_values(ref, sz::lorenzo_reconstruct_wavefront(
-                                  pqd.codes, pqd.unpredictable, dims, q,
-                                  sz::PredictorKind::Lorenzo1Layer, nt));
-      expect_same_values(ref64, sz::lorenzo_reconstruct64_wavefront(
-                                    pqd64.codes, pqd64.unpredictable, dims, q,
-                                    sz::PredictorKind::Lorenzo1Layer, nt));
+  for (const auto kind :
+       {sz::PredictorKind::Lorenzo1Layer, sz::PredictorKind::Lorenzo2Layer}) {
+    for (const Dims& dims : parity_shapes()) {
+      if (kind == sz::PredictorKind::Lorenzo2Layer && dims.rank > 2) continue;
+      const auto data = make_field<T>(dims, seed);
+      const auto pqd = sz::detail::lorenzo_pqd_scalar_t<T>(
+          std::span<const T>(data), dims, q, kind);
+      const auto ref = sz::detail::lorenzo_reconstruct_scalar_t<T>(
+          pqd.codes, std::span<const T>(pqd.unpredictable), dims, q, kind);
+      for (simd::Level level : sweep_levels()) {
+        const LevelOverride guard(level);
+        for (int nt : kBudgets) {
+          SCOPED_TRACE(dims.str() + " " + simd::level_name(level) +
+                       " threads=" + std::to_string(nt));
+          expect_same_values(
+              ref, entry(pqd.codes, pqd.unpredictable, dims, q, kind, nt));
+        }
+      }
     }
   }
+}
+
+TEST(WavefrontParity, ReconstructKernelBothDtypes) {
+  reconstruct_parity<float>(
+      [](auto& c, auto& u, auto dm, auto& q, auto k, int nt) {
+        return sz::lorenzo_reconstruct(c, u, dm, q, k, nt);
+      },
+      11);
+  reconstruct_parity<double>(
+      [](auto& c, auto& u, auto dm, auto& q, auto k, int nt) {
+        return sz::lorenzo_reconstruct64(c, u, dm, q, k, nt);
+      },
+      13);
 }
 
 // ---------------------------------------------- container-level parity
@@ -253,13 +279,13 @@ TEST(WavefrontParity, True3DAndStreamStayConsistent) {
 // The wavefront schedule loses to the serial raster sweep on small fields
 // (per-diagonal barrier overhead dominates); the floor caps the thread count
 // so those fields take the serial path. PqdDiagonalBatches is only counted
-// on the wavefront path, which makes the routing observable.
+// when the scheduler starts a thread team, which makes the routing
+// observable.
 std::uint64_t diagonal_batches(const std::vector<float>& data,
                                const Dims& dims, int nt) {
   const sz::LinearQuantizer q(1e-3, 16);
   telemetry::Session session;
-  (void)sz::lorenzo_pqd_wavefront(data, dims, q,
-                                  sz::PredictorKind::Lorenzo1Layer, nt);
+  (void)sz::lorenzo_pqd(data, dims, q, sz::PredictorKind::Lorenzo1Layer, nt);
   return session.stop().counter(telemetry::Counter::PqdDiagonalBatches);
 }
 

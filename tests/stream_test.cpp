@@ -5,8 +5,10 @@
 #include <vector>
 
 #include "core/stream.hpp"
+#include "core/wavesz.hpp"
 #include "data/synthetic.hpp"
 #include "metrics/stats.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace wavesz::wave {
@@ -143,6 +145,44 @@ TEST(Stream, CorruptArchiveFailsLoudly) {
                                 archive.begin() + archive.size() / 2);
   EXPECT_THROW(stream_decompress(cut), Error);
   EXPECT_THROW(stream_decompress_chunk(archive, 99), Error);
+}
+
+/// Archive framing (as StreamCompressor::finish writes it) around
+/// caller-supplied chunk containers, so the header can disagree with them.
+std::vector<std::uint8_t> forge_archive(
+    const Dims& dims, std::size_t chunk_planes,
+    const std::vector<std::vector<std::uint8_t>>& chunks) {
+  ByteWriter w;
+  w.u32(0x53535a57u);  // "WZSS"
+  w.u8(static_cast<std::uint8_t>(dims.rank));
+  for (std::size_t e : dims.extent) w.u64(e);
+  w.u64(chunk_planes);
+  w.u64(chunks.size());
+  for (const auto& c : chunks) w.u64(c.size());
+  for (const auto& c : chunks) w.bytes(c);
+  return w.take();
+}
+
+TEST(Stream, ChunkPlaneShapeMustMatchHeader) {
+  // The header claims 4 planes of 8x8; each chunk is a valid container of
+  // 2 planes of 4x4. Plane counts agree, plane shapes do not.
+  const Dims header = Dims::d3(4, 8, 8);
+  const Dims chunk = Dims::d3(2, 4, 4);
+  const auto f32 = volume(chunk, 8);
+  const std::vector<double> f64(f32.begin(), f32.end());
+  const auto c32 = wave::compress(std::span<const float>(f32), chunk,
+                                  default_config()).bytes;
+  const auto c64 = wave::compress(std::span<const double>(f64), chunk,
+                                  default_config()).bytes;
+  const auto archive = forge_archive(header, 2, {{c32, c32}});
+  const auto archive64 = forge_archive(header, 2, {{c64, c64}});
+  EXPECT_THROW(stream_decompress(archive), Error);
+  EXPECT_THROW(stream_decompress(archive, sz::DecodeOptions{4, 1}), Error);
+  EXPECT_THROW(stream_decompress64(archive64), Error);
+  EXPECT_THROW(stream_decompress64(archive64, sz::DecodeOptions{4, 1}),
+               Error);
+  EXPECT_THROW(stream_decompress_chunk(archive, 0), Error);
+  EXPECT_THROW(stream_decompress_chunk(archive, 1), Error);
 }
 
 TEST(Stream, DefaultChunkSizeIsSane) {

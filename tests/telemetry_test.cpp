@@ -539,6 +539,42 @@ TEST(Histogram, CompressCallsFeedDurationAndRatioHistograms) {
 #endif
 }
 
+TEST(Telemetry, SzxRoundTripOpensOneDecompressSpan) {
+  const Dims dims = Dims::d2(64, 96);
+  data::FieldRecipe recipe;
+  recipe.seed = 5;
+  const auto field = data::generate(recipe, dims);
+  sz::Config cfg;
+  cfg.codec = sz::Codec::Szx;
+
+  Session session;
+  const auto c = sz::compress(field, dims, cfg);
+  (void)sz::decompress(c.bytes);
+  const Report r = session.stop();
+#ifdef WAVESZ_TELEMETRY_DISABLED
+  EXPECT_TRUE(r.events.empty());
+#else
+  const std::string decompress_name = "sz::decompress";
+  EXPECT_EQ(1, std::count_if(r.events.begin(), r.events.end(),
+                             [&](const SpanEvent& e) {
+                               return decompress_name == e.name;
+                             }));
+  // No span may open inside a live span of the same name on its thread.
+  for (const SpanEvent& outer : r.events) {
+    for (const SpanEvent& inner : r.events) {
+      if (&outer == &inner || outer.tid != inner.tid ||
+          std::string(outer.name) != inner.name) {
+        continue;
+      }
+      const bool nested =
+          inner.depth > outer.depth && inner.start_ns >= outer.start_ns &&
+          inner.start_ns < outer.start_ns + outer.duration_ns;
+      EXPECT_FALSE(nested) << outer.name << " nests inside itself";
+    }
+  }
+#endif
+}
+
 // ---------------------------------------------------------------------------
 // Exporters: percentiles, histograms, Prometheus text
 

@@ -3,7 +3,7 @@
 //
 //   wavesz_cli compress   <in.f32> <out.wsz> <d0> [d1 [d2]]
 //              [--mode wave|ghost|sz] [--eb 1e-3] [--abs] [--base10]
-//              [--huffman] [--best] [--f64]
+//              [--huffman] [--best] [--f64] [--threads n]
 //   wavesz_cli decompress <in.wsz> <out.f32>
 //   wavesz_cli info       <in.wsz>
 //
@@ -44,7 +44,8 @@ int usage() {
                "  wavesz_cli compress   <in.f32> <out.wsz> <d0> [d1 [d2]]\n"
                "             [--mode wave|ghost|sz|szx] [--eb 1e-3] [--abs]\n"
                "             [--base10] [--huffman] [--best] [--no-index]\n"
-               "             [--ultrafast] [--pipeline <depth>]\n"
+               "             [--ultrafast] [--pipeline <depth>] "
+               "[--threads <n>]\n"
                "  wavesz_cli decompress <in.wsz> <out.f32>\n"
                "             [--decode-threads <n>] [--region "
                "lo:hi[,lo:hi[,lo:hi]]]\n"
@@ -60,7 +61,10 @@ int usage() {
                "block codec: highest throughput, no entropy stage;\n"
                "--pipeline n overlaps the compress stages (PQD / entropy /\n"
                "deflate+frame) with up to n slabs in flight — output bytes\n"
-               "are identical to the default barrier execution (n = 0).\n");
+               "are identical to the default barrier execution (n = 0);\n"
+               "--threads n compresses with n threads for prediction and\n"
+               "entropy coding (0 = all cores, default 1) — output bytes\n"
+               "are identical at every n.\n");
   return 2;
 }
 
@@ -117,6 +121,8 @@ int do_compress(int argc, char** argv) {
       mode = "szx";
     } else if (a == "--pipeline" && i + 1 < argc) {
       cfg.pipeline_depth = std::stoi(argv[++i]);
+    } else if (a == "--threads" && i + 1 < argc) {
+      cfg.pqd_threads = cfg.codec_threads = std::stoi(argv[++i]);
     } else {
       return usage();
     }
@@ -157,6 +163,8 @@ int do_compress(int argc, char** argv) {
     wcfg.gzip_level = cfg.gzip_level;
     wcfg.chunk_index = cfg.chunk_index;
     wcfg.pipeline_depth = cfg.pipeline_depth;
+    wcfg.pqd_threads = cfg.pqd_threads;
+    wcfg.codec_threads = cfg.codec_threads;
     if (base10) wcfg.base = sz::EbBase::Ten;
     wcfg.huffman = huffman;
     c = f64 ? wave::compress(std::span<const double>(field64), dims, wcfg)

@@ -17,14 +17,6 @@ namespace {
 
 constexpr std::size_t kTokensPerBlock = 65536;
 
-std::uint32_t reverse_bits(std::uint32_t code, int len) {
-  std::uint32_t out = 0;
-  for (int i = 0; i < len; ++i) {
-    out = (out << 1) | ((code >> i) & 1u);
-  }
-  return out;
-}
-
 /// Huffman codes pre-reversed for the LSB-first DEFLATE bit order.
 struct EmitTable {
   std::vector<std::uint32_t> codes;
@@ -35,55 +27,28 @@ struct EmitTable {
     auto canon = canonical_codes(lens);
     codes.resize(canon.size());
     for (std::size_t s = 0; s < canon.size(); ++s) {
-      codes[s] = reverse_bits(canon[s], lengths[s]);
+      codes[s] = reverse_code_bits(canon[s], lengths[s]);
     }
   }
 
-  void emit(BitWriterLSB& bw, int symbol) const {
-    const auto s = static_cast<std::size_t>(symbol);
-    WAVESZ_ASSERT(lengths[s] > 0, "emitting symbol with no code");
-    bw.bits(codes[s], lengths[s]);
+  /// Write `symbol`'s code followed by the `nextra`-bit value `extra`, in
+  /// one writer call (at most 15 + 13 bits).
+  void emit(BitWriterLSB& bw, std::size_t symbol, std::uint32_t extra = 0,
+            int nextra = 0) const {
+    const int len = lengths[symbol];
+    WAVESZ_ASSERT(len > 0, "emitting symbol with no code");
+    bw.bits(codes[symbol] | (extra << len), len + nextra);
   }
 };
 
-struct BlockFreqs {
-  std::array<std::uint64_t, kNumLitLen> litlen{};
-  std::array<std::uint64_t, kNumDist> dist{};
-};
-
-BlockFreqs count_freqs(std::span<const Token> tokens) {
-  BlockFreqs f;
-  for (const Token& t : tokens) {
-    if (t.length == 0) {
-      ++f.litlen[t.literal];
-    } else {
-      ++f.litlen[static_cast<std::size_t>(257 + length_code(t.length))];
-      ++f.dist[static_cast<std::size_t>(distance_code(t.distance))];
-    }
-  }
-  ++f.litlen[kEndOfBlock];
-  return f;
+const EmitTable& fixed_litlen_table() {
+  static const EmitTable t(fixed_litlen_lengths());
+  return t;
 }
 
-std::uint64_t token_cost_bits(std::span<const Token> tokens,
-                              std::span<const std::uint8_t> litlen_lens,
-                              std::span<const std::uint8_t> dist_lens) {
-  std::uint64_t bits = 0;
-  for (const Token& t : tokens) {
-    if (t.length == 0) {
-      bits += litlen_lens[t.literal];
-    } else {
-      const int lc = length_code(t.length);
-      const int dc = distance_code(t.distance);
-      bits += static_cast<std::uint64_t>(
-          litlen_lens[static_cast<std::size_t>(257 + lc)] +
-          kLengthExtra[static_cast<std::size_t>(lc)] +
-          dist_lens[static_cast<std::size_t>(dc)] +
-          kDistExtra[static_cast<std::size_t>(dc)]);
-    }
-  }
-  bits += litlen_lens[kEndOfBlock];
-  return bits;
+const EmitTable& fixed_dist_table() {
+  static const EmitTable t(fixed_dist_lengths());
+  return t;
 }
 
 void emit_tokens(BitWriterLSB& bw, std::span<const Token> tokens,
@@ -91,24 +56,16 @@ void emit_tokens(BitWriterLSB& bw, std::span<const Token> tokens,
   for (const Token& t : tokens) {
     if (t.length == 0) {
       litlen.emit(bw, t.literal);
-    } else {
-      const int lc = length_code(t.length);
-      litlen.emit(bw, 257 + lc);
-      const int lx = kLengthExtra[static_cast<std::size_t>(lc)];
-      if (lx > 0) {
-        bw.bits(static_cast<std::uint32_t>(
-                    t.length - kLengthBase[static_cast<std::size_t>(lc)]),
-                lx);
-      }
-      const int dc = distance_code(t.distance);
-      dist.emit(bw, dc);
-      const int dx = kDistExtra[static_cast<std::size_t>(dc)];
-      if (dx > 0) {
-        bw.bits(static_cast<std::uint32_t>(
-                    t.distance - kDistBase[static_cast<std::size_t>(dc)]),
-                dx);
-      }
+      continue;
     }
+    const auto lc = static_cast<std::size_t>(length_code(t.length));
+    litlen.emit(bw, 257 + lc,
+                static_cast<std::uint32_t>(t.length - kLengthBase[lc]),
+                kLengthExtra[lc]);
+    const auto dc = static_cast<std::size_t>(distance_code(t.distance));
+    dist.emit(bw, dc,
+              static_cast<std::uint32_t>(t.distance - kDistBase[dc]),
+              kDistExtra[dc]);
   }
   litlen.emit(bw, kEndOfBlock);
 }
@@ -152,6 +109,11 @@ std::vector<std::pair<std::uint8_t, std::uint8_t>> rle_code_lengths(
   return out;
 }
 
+/// Extra bits after code-length symbol `sym` (repeat counts of 16/17/18).
+int clc_extra_bits(std::uint8_t sym) {
+  return sym == 16 ? 2 : sym == 17 ? 3 : sym == 18 ? 7 : 0;
+}
+
 struct DynamicHeader {
   std::vector<std::uint8_t> litlen_lens;  // trimmed to hlit
   std::vector<std::uint8_t> dist_lens;    // trimmed to hdist
@@ -193,10 +155,8 @@ DynamicHeader build_dynamic_header(std::span<const std::uint8_t> litlen_full,
 
   h.header_bits = 5u + 5u + 4u + 3u * static_cast<std::uint64_t>(h.hclen);
   for (auto [sym, extra] : h.rle) {
-    h.header_bits += h.clc_lens[sym];
-    if (sym == 16) h.header_bits += 2;
-    if (sym == 17) h.header_bits += 3;
-    if (sym == 18) h.header_bits += 7;
+    h.header_bits +=
+        static_cast<std::uint64_t>(h.clc_lens[sym] + clc_extra_bits(sym));
   }
   return h;
 }
@@ -213,10 +173,7 @@ void emit_dynamic_block(BitWriterLSB& bw, std::span<const Token> tokens,
   }
   const EmitTable clc(h.clc_lens);
   for (auto [sym, extra] : h.rle) {
-    clc.emit(bw, sym);
-    if (sym == 16) bw.bits(extra, 2);
-    if (sym == 17) bw.bits(extra, 3);
-    if (sym == 18) bw.bits(extra, 7);
+    clc.emit(bw, sym, extra, clc_extra_bits(sym));
   }
   // Rebuild full-width tables for emission (trimmed tails are unused codes).
   std::vector<std::uint8_t> ll(h.litlen_lens);
@@ -230,9 +187,7 @@ void emit_fixed_block(BitWriterLSB& bw, std::span<const Token> tokens,
                       bool final_block) {
   bw.bits(final_block ? 1u : 0u, 1);
   bw.bits(0b01, 2);  // fixed
-  const auto ll = fixed_litlen_lengths();
-  const auto dd = fixed_dist_lengths();
-  emit_tokens(bw, tokens, EmitTable(ll), EmitTable(dd));
+  emit_tokens(bw, tokens, fixed_litlen_table(), fixed_dist_table());
 }
 
 void emit_stored_blocks(BitWriterLSB& bw,
@@ -251,20 +206,47 @@ void emit_stored_blocks(BitWriterLSB& bw,
     bw.byte(static_cast<std::uint8_t>(len >> 8));
     bw.byte(static_cast<std::uint8_t>(~len & 0xff));
     bw.byte(static_cast<std::uint8_t>((~len >> 8) & 0xff));
-    for (std::size_t i = 0; i < take; ++i) bw.byte(raw_bytes[off + i]);
+    bw.append(raw_bytes.subspan(off, take), take * 8);
     off += take;
   } while (off < raw_bytes.size());
-}
-
-std::size_t token_raw_size(std::span<const Token> tokens) {
-  std::size_t n = 0;
-  for (const Token& t : tokens) n += (t.length == 0) ? 1 : t.length;
-  return n;
 }
 
 }  // namespace
 
 namespace detail {
+
+BlockFreqs count_freqs(std::span<const Token> tokens) {
+  BlockFreqs f;
+  for (const Token& t : tokens) {
+    if (t.length == 0) {
+      ++f.litlen[t.literal];
+      ++f.raw_bytes;
+    } else {
+      const auto lc = static_cast<std::size_t>(length_code(t.length));
+      const auto dc = static_cast<std::size_t>(distance_code(t.distance));
+      ++f.litlen[257 + lc];
+      ++f.dist[dc];
+      f.extra_bits +=
+          static_cast<std::uint64_t>(kLengthExtra[lc]) + kDistExtra[dc];
+      f.raw_bytes += t.length;
+    }
+  }
+  ++f.litlen[kEndOfBlock];
+  return f;
+}
+
+std::uint64_t block_cost_bits(const BlockFreqs& f,
+                              std::span<const std::uint8_t> litlen_lens,
+                              std::span<const std::uint8_t> dist_lens) {
+  std::uint64_t bits = f.extra_bits;
+  for (std::size_t s = 0; s < f.litlen.size(); ++s) {
+    bits += f.litlen[s] * litlen_lens[s];
+  }
+  for (std::size_t s = 0; s < f.dist.size(); ++s) {
+    bits += f.dist[s] * dist_lens[s];
+  }
+  return bits;
+}
 
 void deflate_blocks(BitWriterLSB& bw, std::span<const std::uint8_t> covered,
                     std::span<const Token> tokens, bool mark_final) {
@@ -282,9 +264,8 @@ void deflate_blocks(BitWriterLSB& bw, std::span<const std::uint8_t> covered,
     const auto block = tokens.subspan(start, count);
     const bool final_block =
         mark_final && (start + count == tokens.size());
-    const std::size_t raw_len = token_raw_size(block);
-
     const BlockFreqs freqs = count_freqs(block);
+    const std::size_t raw_len = freqs.raw_bytes;
     // Ensure at least one distance code exists so the dynamic header is
     // always well-formed (a zero-frequency code still gets a slot).
     auto dist_freq = freqs.dist;
@@ -297,10 +278,10 @@ void deflate_blocks(BitWriterLSB& bw, std::span<const std::uint8_t> covered,
     const DynamicHeader header = build_dynamic_header(dyn_ll, dyn_dd);
 
     const std::uint64_t cost_dyn =
-        3 + header.header_bits + token_cost_bits(block, dyn_ll, dyn_dd);
-    const auto fix_ll = fixed_litlen_lengths();
-    const auto fix_dd = fixed_dist_lengths();
-    const std::uint64_t cost_fix = 3 + token_cost_bits(block, fix_ll, fix_dd);
+        3 + header.header_bits + block_cost_bits(freqs, dyn_ll, dyn_dd);
+    const std::uint64_t cost_fix =
+        3 + block_cost_bits(freqs, fixed_litlen_table().lengths,
+                            fixed_dist_table().lengths);
     const std::uint64_t cost_stored =
         (3 + 7 + 32) * ((raw_len + 65534) / 65535) +
         8ull * static_cast<std::uint64_t>(raw_len);

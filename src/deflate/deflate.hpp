@@ -7,10 +7,12 @@
 // chosen per block by estimated cost.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "deflate/deflate_tables.hpp"
 #include "deflate/lz77.hpp"
 #include "util/bitio.hpp"
 
@@ -64,6 +66,26 @@ PrefixResult gzip_decompress_prefix(std::span<const std::uint8_t> input,
                                     std::size_t min_output_bytes);
 
 namespace detail {
+
+/// One walk over a block's tokens: symbol frequencies (end of block
+/// included), the extra bits the matches carry, and the raw bytes the
+/// block expands to.
+struct BlockFreqs {
+  std::array<std::uint64_t, kNumLitLen> litlen{};
+  std::array<std::uint64_t, kNumDist> dist{};
+  std::uint64_t extra_bits = 0;
+  std::size_t raw_bytes = 0;
+};
+
+BlockFreqs count_freqs(std::span<const Token> tokens);
+
+/// Bits the block `f` was counted from takes with the given code lengths,
+/// end of block included and block header excluded: the sum of frequency
+/// x code length plus the extra bits. This is what deflate_blocks() weighs
+/// to pick stored, fixed or dynamic; it equals the bits the emitter writes.
+std::uint64_t block_cost_bits(const BlockFreqs& f,
+                              std::span<const std::uint8_t> litlen_lens,
+                              std::span<const std::uint8_t> dist_lens);
 
 /// Emit the DEFLATE blocks encoding `tokens`, which must expand exactly to
 /// `covered` (needed for the stored-block fallback). Blocks are split every

@@ -33,11 +33,50 @@ inline constexpr std::array<std::uint8_t, 30> kDistExtra = {
 inline constexpr std::array<std::uint8_t, 19> kClcOrder = {
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15};
 
+namespace detail {
+
+/// zlib's _length_code: indexed by length - 3 (0..255). Each code covers
+/// the lengths from its base up to the next code's base; 258 has its own.
+inline constexpr std::array<std::uint8_t, 256> kLengthCode = [] {
+  std::array<std::uint8_t, 256> t{};
+  for (std::size_t c = 0; c < kLengthBase.size(); ++c) {
+    const std::size_t end =
+        c + 1 < kLengthBase.size() ? kLengthBase[c + 1] : 259;
+    for (std::size_t len = kLengthBase[c]; len < end; ++len) {
+      t[len - 3] = static_cast<std::uint8_t>(c);
+    }
+  }
+  return t;
+}();
+
+/// zlib's _dist_code: distances 1..256 index it at distance - 1, larger
+/// ones at 256 + ((distance - 1) >> 7). The second half is exact because
+/// every code above distance 256 starts at 1 + a multiple of 128.
+inline constexpr std::array<std::uint8_t, 512> kDistCode = [] {
+  std::array<std::uint8_t, 512> t{};
+  for (std::size_t c = 0; c < kDistBase.size(); ++c) {
+    const std::size_t end =
+        c + 1 < kDistBase.size() ? kDistBase[c + 1] : 32769;
+    for (std::size_t d = kDistBase[c]; d < end; ++d) {
+      t[d <= 256 ? d - 1 : 256 + ((d - 1) >> 7)] =
+          static_cast<std::uint8_t>(c);
+    }
+  }
+  return t;
+}();
+
+}  // namespace detail
+
 /// Length code index (0-based into kLengthBase) for a match length 3..258.
-int length_code(int length);
+inline int length_code(int length) {
+  return detail::kLengthCode[static_cast<std::size_t>(length - 3)];
+}
 
 /// Distance code index for a distance 1..32768.
-int distance_code(int distance);
+inline int distance_code(int distance) {
+  const auto d = static_cast<std::size_t>(distance - 1);
+  return detail::kDistCode[d < 256 ? d : 256 + (d >> 7)];
+}
 
 /// Fixed lit/len code lengths per RFC 1951 §3.2.6.
 std::array<std::uint8_t, kNumLitLen> fixed_litlen_lengths();

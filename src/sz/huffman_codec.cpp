@@ -77,66 +77,147 @@ std::vector<std::uint64_t> frequencies(std::span<const std::uint16_t> codes,
   return freq;
 }
 
-/// MSB-first bit-pack of the payload in `nt` independent chunks. Each chunk
-/// is packed locally with its global bit phase (start % 8) as leading zero
-/// bits, then spliced at byte granularity: OR for the boundary byte shared
-/// with the previous chunk, copy for the rest. The concatenated bit
-/// sequence — hence the byte stream — is identical to one serial
-/// BitWriterMSB pass.
+/// Per-symbol pack table in the BitWriterMSB::codes() layout: the code
+/// left-aligned at bit 31, its length in the low 8 bits.
+static_assert(kMaxCodeLength <= 24, "code and length must share a word");
+std::vector<std::uint32_t> pack_table(std::span<const std::uint32_t> canon,
+                                      std::span<const std::uint8_t> lengths) {
+  std::vector<std::uint32_t> table(kAlphabet, 0);
+  for (std::size_t s = 0; s < kAlphabet; ++s) {
+    if (lengths[s] > 0) {
+      table[s] = (canon[s] << (32 - lengths[s])) | lengths[s];
+    }
+  }
+  return table;
+}
+
+/// Chunk-index state threaded through pack_range(): the running
+/// unpredictable count and CRC-32, plus the entries recorded so far.
+/// `bit_base` converts the writer's bit_count() to a payload bit offset.
+struct IndexLog {
+  std::uint32_t chunk_symbols = 0;
+  std::uint64_t bit_base = 0;
+  std::uint64_t unpred = 0;
+  Crc32 crc;
+  std::vector<ChunkEntry> entries;
+};
+
+/// Pack `codes`, which are elements [first, first + codes.size()) of the
+/// stream, into `bw`. With a log, the same pass records a ChunkEntry after
+/// every log->chunk_symbols elements (and after the last), counting and
+/// checksumming each chunk while it is still in cache; `first` must then
+/// sit on a chunk boundary.
+void pack_range(std::span<const std::uint16_t> codes,
+                std::span<const std::uint32_t> table, std::size_t first,
+                BitWriterMSB& bw, IndexLog* log) {
+  if (log == nullptr) {
+    bw.codes(codes, table);
+    return;
+  }
+  for (std::size_t at = 0; at < codes.size(); at += log->chunk_symbols) {
+    const auto chunk = codes.subspan(
+        at, std::min<std::size_t>(log->chunk_symbols, codes.size() - at));
+    bw.codes(chunk, table);
+    log->unpred += static_cast<std::uint64_t>(
+        std::count(chunk.begin(), chunk.end(), std::uint16_t{0}));
+    log->crc.update(bytes_of(chunk));
+    ChunkEntry e;
+    e.end_bit = log->bit_base + bw.bit_count();
+    e.end_element = first + at + chunk.size();
+    e.end_unpred = log->unpred;
+    e.running_crc = log->crc.value();
+    log->entries.push_back(e);
+  }
+}
+
+/// MSB-first bit-pack of the payload. At nt <= 1 one pack_range() pass
+/// writes the payload and, with `idx`, the chunk index. Otherwise the
+/// stream splits into `nt` contiguous ranges (on chunk boundaries when
+/// indexing); a first parallel pass sums each range's code lengths, then
+/// each range is packed with its global bit phase (start % 8) as leading
+/// zero bits and spliced at byte granularity: OR for the boundary byte
+/// shared with the previous range, copy for the rest. Index entries come
+/// back range-local and are rebased serially, the running CRCs through
+/// Crc32::combine. Bytes and entries equal the serial pass at every nt.
 std::vector<std::uint8_t> pack_payload(std::span<const std::uint16_t> codes,
-                                       std::span<const std::uint32_t> canon,
-                                       std::span<const std::uint8_t> lengths,
-                                       int nt, std::uint64_t* payload_bits) {
+                                       std::span<const std::uint32_t> table,
+                                       int nt, CodeChunkIndex* idx,
+                                       std::uint64_t* payload_bits) {
+  const std::uint32_t chunk = idx != nullptr ? idx->chunk_symbols : 0;
   if (nt <= 1) {
     BitWriterMSB bw;
-    for (std::uint16_t c : codes) bw.bits(canon[c], lengths[c]);
+    IndexLog log;
+    log.chunk_symbols = chunk;
+    pack_range(codes, table, 0, bw, idx != nullptr ? &log : nullptr);
+    if (idx != nullptr) idx->entries = std::move(log.entries);
     *payload_bits = bw.bit_count();
     return bw.take();
   }
-  const auto bounds = chunk_bounds(codes.size(), nt);
-  // Exclusive prefix of per-chunk bit counts gives every chunk's start bit.
+  auto bounds = chunk_bounds(codes.size(), nt);
+  if (chunk > 0) {
+    for (std::size_t t = 1; t < static_cast<std::size_t>(nt); ++t) {
+      bounds[t] -= bounds[t] % chunk;
+    }
+  }
+  const auto range = [&](int t) {
+    const std::size_t lo = bounds[static_cast<std::size_t>(t)];
+    return codes.subspan(lo, bounds[static_cast<std::size_t>(t) + 1] - lo);
+  };
+  // Exclusive prefix of per-range bit counts gives every range's start bit.
   std::vector<std::uint64_t> start(static_cast<std::size_t>(nt) + 1, 0);
 #ifdef _OPENMP
 #pragma omp parallel for num_threads(nt) schedule(static)
 #endif
   for (int t = 0; t < nt; ++t) {
     std::uint64_t bits = 0;
-    const std::size_t lo = bounds[static_cast<std::size_t>(t)];
-    const std::size_t hi = bounds[static_cast<std::size_t>(t) + 1];
-    for (std::size_t i = lo; i < hi; ++i) bits += lengths[codes[i]];
+    for (const std::uint16_t c : range(t)) bits += table[c] & 0xffu;
     start[static_cast<std::size_t>(t) + 1] = bits;
   }
-  for (int t = 0; t < nt; ++t) {
-    start[static_cast<std::size_t>(t) + 1] +=
-        start[static_cast<std::size_t>(t)];
+  for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t) {
+    start[t + 1] += start[t];
   }
   const std::uint64_t total = start[static_cast<std::size_t>(nt)];
 
-  std::vector<std::vector<std::uint8_t>> local(
-      static_cast<std::size_t>(nt));
+  std::vector<std::vector<std::uint8_t>> local(static_cast<std::size_t>(nt));
+  std::vector<IndexLog> logs(static_cast<std::size_t>(nt));
 #ifdef _OPENMP
 #pragma omp parallel for num_threads(nt) schedule(static)
 #endif
   for (int t = 0; t < nt; ++t) {
+    const auto k = static_cast<std::size_t>(t);
+    const int phase = static_cast<int>(start[k] % 8);
     BitWriterMSB bw;
-    bw.bits(0, static_cast<int>(start[static_cast<std::size_t>(t)] % 8));
-    const std::size_t lo = bounds[static_cast<std::size_t>(t)];
-    const std::size_t hi = bounds[static_cast<std::size_t>(t) + 1];
-    for (std::size_t i = lo; i < hi; ++i) {
-      bw.bits(canon[codes[i]], lengths[codes[i]]);
-    }
-    local[static_cast<std::size_t>(t)] = bw.take();
+    bw.bits(0, phase);
+    logs[k].chunk_symbols = chunk;
+    logs[k].bit_base = start[k] - static_cast<std::uint64_t>(phase);
+    pack_range(range(t), table, bounds[k], bw,
+               chunk > 0 ? &logs[k] : nullptr);
+    local[k] = bw.take();
   }
 
   std::vector<std::uint8_t> out((total + 7) / 8, 0);
-  for (int t = 0; t < nt; ++t) {
-    const auto& piece = local[static_cast<std::size_t>(t)];
+  for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t) {
+    const auto& piece = local[t];
     if (piece.empty()) continue;
-    const std::size_t byte0 =
-        static_cast<std::size_t>(start[static_cast<std::size_t>(t)] / 8);
-    out[byte0] |= piece[0];  // shared boundary byte with the previous chunk
+    const auto byte0 = static_cast<std::size_t>(start[t] / 8);
+    out[byte0] |= piece[0];  // shared boundary byte with the previous range
     std::copy(piece.begin() + 1, piece.end(),
               out.begin() + static_cast<std::ptrdiff_t>(byte0) + 1);
+  }
+  if (idx != nullptr) {
+    idx->entries.clear();
+    std::uint64_t unpred = 0;
+    std::uint32_t crc = 0;
+    for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t) {
+      for (ChunkEntry e : logs[t].entries) {
+        e.end_unpred += unpred;
+        e.running_crc = Crc32::combine(
+            crc, e.running_crc, 2 * (e.end_element - bounds[t]));
+        idx->entries.push_back(e);
+      }
+      unpred += logs[t].unpred;
+      if (!logs[t].entries.empty()) crc = idx->entries.back().running_crc;
+    }
   }
   *payload_bits = total;
   return out;
@@ -161,16 +242,14 @@ std::vector<std::uint8_t> huffman_encode_impl(
     return w.take();
   }
   const int nt = clamp_threads(threads, codes.size());
-  std::vector<std::uint64_t> freq;
   std::vector<std::uint8_t> lengths;
-  std::vector<std::uint32_t> canon;
+  std::vector<std::uint32_t> table;
   {
     telemetry::Span span(telemetry::spans::kHuffmanTable);
     const std::uint64_t t0 =
         telemetry::enabled() ? telemetry::detail::now_ns() : 0;
-    freq = frequencies(codes, nt);
-    lengths = huffman_code_lengths(freq, kMaxCodeLength);
-    canon = canonical_codes(lengths);
+    lengths = huffman_code_lengths(frequencies(codes, nt), kMaxCodeLength);
+    table = pack_table(canonical_codes(lengths), lengths);
     if (telemetry::enabled()) {
       telemetry::counter_add(telemetry::Counter::HuffmanTableBuildNs,
                              telemetry::detail::now_ns() - t0);
@@ -190,35 +269,12 @@ std::vector<std::uint8_t> huffman_encode_impl(
     }
   }
   if (idx != nullptr) {
-    // One streaming pass records the chunk-aligned encode flush points:
-    // cumulative payload bits, unpredictable (symbol 0) count and running
-    // CRC-32 at every chunk_symbols boundary of the output element stream.
     idx->chunk_symbols = chunk_symbols;
     idx->payload_byte_offset = payload_offset_for(distinct);
-    idx->entries.clear();
-    Crc32 crc;
-    std::uint64_t bits = 0;
-    std::uint64_t unpred = 0;
-    for (std::size_t at = 0; at < codes.size(); at += chunk_symbols) {
-      const std::size_t n =
-          std::min<std::size_t>(chunk_symbols, codes.size() - at);
-      const auto chunk = codes.subspan(at, n);
-      for (const std::uint16_t c : chunk) {
-        bits += lengths[c];
-        unpred += c == 0 ? 1 : 0;
-      }
-      crc.update(bytes_of(chunk));
-      ChunkEntry e;
-      e.end_bit = bits;
-      e.end_element = at + n;
-      e.end_unpred = unpred;
-      e.running_crc = crc.value();
-      idx->entries.push_back(e);
-    }
   }
   telemetry::Span span_pack(telemetry::spans::kHuffmanPack);
   std::uint64_t payload_bits = 0;
-  const auto payload = pack_payload(codes, canon, lengths, nt, &payload_bits);
+  const auto payload = pack_payload(codes, table, nt, idx, &payload_bits);
   w.u64(payload_bits);
   w.bytes(payload);
   return w.take();

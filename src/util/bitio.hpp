@@ -6,6 +6,7 @@
 // raises wavesz::Error on overrun so corrupted streams fail loudly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -15,32 +16,91 @@
 
 namespace wavesz {
 
-/// LSB-first bit writer (RFC 1951 convention).
+namespace detail {
+
+/// Byte buffer behind both bit writers. It keeps a few KiB of writable
+/// room ahead of a write cursor, so a 32-bit flush is one unaligned store
+/// instead of four push_back calls, each with its own capacity check.
+class WordBuffer {
+ public:
+  void put32_le(std::uint32_t w) {
+    room(4);
+    store_le32(buf_.data() + len_, w);
+    len_ += 4;
+  }
+  void put32_be(std::uint32_t w) {
+    room(4);
+    store_be32(buf_.data() + len_, w);
+    len_ += 4;
+  }
+  void put8(std::uint8_t b) {
+    room(1);
+    buf_[len_++] = b;
+  }
+  void put(std::span<const std::uint8_t> s) {
+    if (s.empty()) return;  // memcpy must not see a null source
+    room(s.size());
+    copy_bytes(buf_.data() + len_, s.data(), s.size());
+    len_ += s.size();
+  }
+  /// Write cursor with room for `n` more bytes; hand the end of what was
+  /// written back through advance_to().
+  std::uint8_t* cursor(std::size_t n) {
+    room(n);
+    return buf_.data() + len_;
+  }
+  void advance_to(const std::uint8_t* end) {
+    len_ = static_cast<std::size_t>(end - buf_.data());
+  }
+  std::size_t size() const { return len_; }
+  std::vector<std::uint8_t> take() {
+    buf_.resize(len_);
+    len_ = 0;
+    return std::move(buf_);
+  }
+
+ private:
+  /// resize() zero-fills, so the size grows only by what is asked for
+  /// plus kSlack; the vector still doubles its capacity underneath, and
+  /// capacity never written is never touched (it stays out of RSS).
+  void room(std::size_t n) {
+    if (buf_.size() - len_ < n) buf_.resize(len_ + n + kSlack);
+  }
+  static constexpr std::size_t kSlack = 4096;
+  std::vector<std::uint8_t> buf_;
+  std::size_t len_ = 0;
+};
+
+/// The low `n` bits set, for n in 0..32.
+inline std::uint64_t low_mask(int n) { return (std::uint64_t{1} << n) - 1; }
+
+}  // namespace detail
+
+/// LSB-first bit writer (RFC 1951 convention) over a 64-bit accumulator.
+/// Pending bits sit in the low `fill_` bits (first stream bit in bit 0);
+/// whenever a write leaves 32 or more pending, the low 32 go out in one
+/// store. Since fill_ <= 32 between calls, a 32-bit write always fits.
 class BitWriterLSB {
  public:
   void bits(std::uint32_t value, int n) {
     WAVESZ_ASSERT(n >= 0 && n <= 32, "bit count out of range");
-    acc_ |= static_cast<std::uint64_t>(value & mask(n)) << fill_;
+    acc_ |= (value & detail::low_mask(n)) << fill_;
     fill_ += n;
-    while (fill_ >= 8) {
-      buf_.push_back(static_cast<std::uint8_t>(acc_ & 0xff));
-      acc_ >>= 8;
-      fill_ -= 8;
+    if (fill_ >= 32) {
+      out_.put32_le(static_cast<std::uint32_t>(acc_));
+      acc_ >>= 32;
+      fill_ -= 32;
     }
   }
 
   /// Pad to a byte boundary with zero bits (DEFLATE stored-block alignment).
-  void align_byte() {
-    if (fill_ > 0) {
-      buf_.push_back(static_cast<std::uint8_t>(acc_ & 0xff));
-      acc_ = 0;
-      fill_ = 0;
-    }
-  }
+  /// The padding may leave exactly 32 bits pending; the next write stores
+  /// them.
+  void align_byte() { fill_ = (fill_ + 7) & ~7; }
 
   void byte(std::uint8_t b) {
-    WAVESZ_ASSERT(fill_ == 0, "byte() requires byte alignment");
-    buf_.push_back(b);
+    WAVESZ_ASSERT(fill_ % 8 == 0, "byte() requires byte alignment");
+    bits(b, 8);
   }
 
   /// Append the first `nbits` bits of `src` (LSB-first within each byte),
@@ -50,18 +110,12 @@ class BitWriterLSB {
   void append(std::span<const std::uint8_t> src, std::size_t nbits) {
     WAVESZ_ASSERT(nbits <= src.size() * 8, "append past end of source");
     const std::size_t full = nbits / 8;
-    if (fill_ == 0) {
-      buf_.insert(buf_.end(), src.begin(),
-                  src.begin() + static_cast<std::ptrdiff_t>(full));
+    if (fill_ % 8 == 0) {
+      flush_bytes();
+      out_.put(src.first(full));
     } else {
       std::size_t i = 0;
-      for (; i + 4 <= full; i += 4) {
-        bits(static_cast<std::uint32_t>(src[i]) |
-                 (static_cast<std::uint32_t>(src[i + 1]) << 8) |
-                 (static_cast<std::uint32_t>(src[i + 2]) << 16) |
-                 (static_cast<std::uint32_t>(src[i + 3]) << 24),
-             32);
-      }
+      for (; i + 4 <= full; i += 4) bits(load_le32(src.data() + i), 32);
       for (; i < full; ++i) bits(src[i], 8);
     }
     const int rem = static_cast<int>(nbits % 8);
@@ -69,18 +123,24 @@ class BitWriterLSB {
   }
 
   std::size_t bit_count() const {
-    return buf_.size() * 8 + static_cast<std::size_t>(fill_);
+    return out_.size() * 8 + static_cast<std::size_t>(fill_);
   }
   std::vector<std::uint8_t> take() {
     align_byte();
-    return std::move(buf_);
+    flush_bytes();
+    return out_.take();
   }
 
  private:
-  static std::uint32_t mask(int n) {
-    return n >= 32 ? 0xffffffffu : ((1u << n) - 1u);
+  /// Store the whole pending bytes; requires byte alignment.
+  void flush_bytes() {
+    for (; fill_ > 0; fill_ -= 8) {
+      out_.put8(static_cast<std::uint8_t>(acc_));
+      acc_ >>= 8;
+    }
   }
-  std::vector<std::uint8_t> buf_;
+
+  detail::WordBuffer out_;
   std::uint64_t acc_ = 0;
   int fill_ = 0;
 };
@@ -195,39 +255,88 @@ class BitReaderLSB {
   int fill_ = 0;
 };
 
-/// MSB-first bit writer (customized Huffman convention).
+/// MSB-first bit writer (customized Huffman convention) over a 64-bit
+/// accumulator. Pending bits sit in the low `fill_` bits, the first stream
+/// bit highest; whenever 32 or more are pending, the oldest 32 go out in one
+/// big-endian store. Bits above `fill_` are stale and never stored.
 class BitWriterMSB {
  public:
   void bits(std::uint32_t value, int n) {
     WAVESZ_ASSERT(n >= 0 && n <= 32, "bit count out of range");
-    for (int i = n - 1; i >= 0; --i) {
-      cur_ = static_cast<std::uint8_t>((static_cast<std::uint32_t>(cur_) << 1) |
-                                       ((value >> i) & 1u));
-      if (++fill_ == 8) {
-        buf_.push_back(cur_);
-        cur_ = 0;
-        fill_ = 0;
-      }
+    acc_ = (acc_ << n) | (value & detail::low_mask(n));
+    fill_ += n;
+    if (fill_ >= 32) {
+      fill_ -= 32;
+      out_.put32_be(static_cast<std::uint32_t>(acc_ >> fill_));
     }
-    nbits_ += static_cast<std::size_t>(n);
   }
 
-  std::size_t bit_count() const { return nbits_; }
-
-  std::vector<std::uint8_t> take() {
-    if (fill_ > 0) {
-      buf_.push_back(static_cast<std::uint8_t>(cur_ << (8 - fill_)));
-      cur_ = 0;
-      fill_ = 0;
+  /// Write every symbol's table-coded bits. `table[sym]` holds the code
+  /// left-aligned at bit 31 and its length (at most 24) in the low 8 bits.
+  /// Same output as one bits() call per symbol, but branch-free: the loop
+  /// keeps the pending bits left-aligned at bit 63, adds two codes (at most
+  /// 48 bits on top of fewer than 8 pending), then stores 8 bytes and keeps
+  /// only the whole ones.
+  void codes(std::span<const std::uint16_t> syms,
+             std::span<const std::uint32_t> table) {
+    for (; fill_ >= 8; fill_ -= 8) {
+      out_.put8(static_cast<std::uint8_t>(acc_ >> (fill_ - 8)));
     }
-    return std::move(buf_);
+    std::uint64_t acc = fill_ > 0 ? acc_ << (64 - fill_) : 0;
+    int fill = fill_;
+    constexpr std::size_t kBatch = 4096;
+    for (std::size_t at = 0; at < syms.size(); at += kBatch) {
+      const std::size_t n = std::min(kBatch, syms.size() - at);
+      // n codes advance the cursor by at most 3n + 1 bytes, and the last
+      // 8-byte store may reach 7 past it.
+      std::uint8_t* p = out_.cursor(3 * n + 8);
+      const auto put = [&](std::uint16_t sym) {
+        const std::uint32_t e = table[sym];
+        acc |= (static_cast<std::uint64_t>(e & ~0xffu) << 32) >> fill;
+        fill += static_cast<int>(e & 0xffu);
+      };
+      const auto flush = [&] {
+        store_be64(p, acc);
+        p += fill >> 3;
+        acc <<= fill & ~7;
+        fill &= 7;
+      };
+      const std::uint16_t* s = syms.data() + at;
+      std::size_t i = 0;
+      for (; i + 2 <= n; i += 2) {
+        put(s[i]);
+        put(s[i + 1]);
+        flush();
+      }
+      if (i < n) {
+        put(s[i]);
+        flush();
+      }
+      out_.advance_to(p);
+    }
+    acc_ = fill > 0 ? acc >> (64 - fill) : 0;
+    fill_ = fill;
+  }
+
+  std::size_t bit_count() const {
+    return out_.size() * 8 + static_cast<std::size_t>(fill_);
+  }
+
+  /// Zero-pad the last byte and hand over the buffer.
+  std::vector<std::uint8_t> take() {
+    const int pad = (8 - fill_ % 8) % 8;
+    acc_ <<= pad;
+    for (fill_ += pad; fill_ > 0;) {
+      fill_ -= 8;
+      out_.put8(static_cast<std::uint8_t>(acc_ >> fill_));
+    }
+    return out_.take();
   }
 
  private:
-  std::vector<std::uint8_t> buf_;
-  std::uint8_t cur_ = 0;
+  detail::WordBuffer out_;
+  std::uint64_t acc_ = 0;
   int fill_ = 0;
-  std::size_t nbits_ = 0;
 };
 
 /// MSB-first bit reader (customized Huffman convention) over a 64-bit

@@ -59,6 +59,30 @@ inline std::uint64_t load_be64(const std::uint8_t* p) {
   return w;
 }
 
+/// Unaligned 32-bit little-endian store (bit 0 lands in the first byte).
+inline void store_le32(std::uint8_t* p, std::uint32_t w) {
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap32(w);
+  }
+  std::memcpy(p, &w, sizeof w);
+}
+
+/// Unaligned 32-bit big-endian store (bits 31..24 land in the first byte).
+inline void store_be32(std::uint8_t* p, std::uint32_t w) {
+  if constexpr (std::endian::native == std::endian::little) {
+    w = __builtin_bswap32(w);
+  }
+  std::memcpy(p, &w, sizeof w);
+}
+
+/// Unaligned 64-bit big-endian store (bits 63..56 land in the first byte).
+inline void store_be64(std::uint8_t* p, std::uint64_t w) {
+  if constexpr (std::endian::native == std::endian::little) {
+    w = __builtin_bswap64(w);
+  }
+  std::memcpy(p, &w, sizeof w);
+}
+
 /// Raw copy of `n` bytes between non-overlapping buffers.
 inline void copy_bytes(void* dst, const void* src, std::size_t n) {
   std::memcpy(dst, src, n);

@@ -7,6 +7,8 @@
 namespace wavesz {
 namespace {
 
+constexpr std::uint32_t kPoly = 0xEDB88320u;
+
 /// Slicing tables: t[0] is the classic byte-at-a-time table; t[k][i] is the
 /// CRC of byte i followed by k zero bytes, so eight bytes can be folded into
 /// the state with eight independent lookups per iteration instead of a
@@ -16,7 +18,7 @@ std::array<std::array<std::uint32_t, 256>, 8> make_tables() {
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      c = (c & 1u) ? (kPoly ^ (c >> 1)) : (c >> 1);
     }
     t[0][i] = c;
   }
@@ -33,7 +35,31 @@ const std::array<std::array<std::uint32_t, 256>, 8>& tables() {
   return t;
 }
 
+/// a * b modulo the CRC polynomial, both in the reflected bit order where
+/// bit 31 holds the x^0 coefficient.
+std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t prod = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) prod ^= b;
+    b = (b & 1u) != 0 ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return prod;
+}
+
 }  // namespace
+
+std::uint32_t Crc32::combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::uint64_t len_b) {
+  // Appending len_b bytes multiplies A's CRC by x^(8 len_b); build that
+  // power by square-and-multiply over the bits of 8 len_b.
+  std::uint32_t power = 1u << 31;  // x^0
+  std::uint32_t square = 1u << 30;  // x^1
+  for (std::uint64_t e = len_b * 8; e != 0; e >>= 1) {
+    if ((e & 1u) != 0) power = multmodp(square, power);
+    square = multmodp(square, square);
+  }
+  return multmodp(power, crc_a) ^ crc_b;
+}
 
 void Crc32::update(std::span<const std::uint8_t> data) {
   const auto& t = tables();

@@ -36,6 +36,12 @@ class Crc32 {
     return c;
   }
 
+  /// CRC of A followed by B, given the finalized CRCs of A and B and the
+  /// byte length of B (zlib's crc32_combine). Lets workers checksum
+  /// adjacent pieces independently and splice the digests afterwards.
+  static std::uint32_t combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                               std::uint64_t len_b);
+
  private:
   std::uint32_t state_ = 0xffffffffu;
 };

@@ -32,15 +32,15 @@ constexpr int kRootBits = 10;
 /// nothing per symbol.
 constexpr std::size_t kMaxTableEntries = 1u << 20;
 
+std::atomic<int> g_reference_decode{-1};  // -1 = env not read yet
+
+}  // namespace
+
 std::uint32_t reverse_code_bits(std::uint32_t code, int len) {
   std::uint32_t out = 0;
   for (int i = 0; i < len; ++i) out = (out << 1) | ((code >> i) & 1u);
   return out;
 }
-
-std::atomic<int> g_reference_decode{-1};  // -1 = env not read yet
-
-}  // namespace
 
 bool reference_decode_enabled() {
   int v = g_reference_decode.load(std::memory_order_relaxed);

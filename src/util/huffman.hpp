@@ -26,6 +26,10 @@ std::vector<std::uint8_t> huffman_code_lengths(
 std::vector<std::uint32_t> canonical_codes(
     std::span<const std::uint8_t> lengths);
 
+/// The low `len` bits of `code` in reverse order: turns an MSB-first
+/// canonical code into the LSB-first form DEFLATE streams carry.
+std::uint32_t reverse_code_bits(std::uint32_t code, int len);
+
 /// Verify sum over used symbols of 2^-length == 1 (complete code) or the
 /// degenerate single-symbol case. Returns false for over-subscribed sets.
 bool kraft_complete(std::span<const std::uint8_t> lengths);

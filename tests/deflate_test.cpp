@@ -118,6 +118,83 @@ TEST(Tables, EveryDistanceMapsInsideItsCodeRange) {
   }
 }
 
+/// RFC 1951 §3.2.5 by definition: the last code whose base is <= value.
+template <std::size_t N>
+int base_table_scan(const std::array<std::uint16_t, N>& bases, int value) {
+  int code = 0;
+  for (std::size_t c = 0; c < N; ++c) {
+    if (value >= bases[c]) code = static_cast<int>(c);
+  }
+  return code;
+}
+
+TEST(Tables, LengthCodeMatchesBaseTableScanForEveryLength) {
+  for (int len = 3; len <= 258; ++len) {
+    ASSERT_EQ(length_code(len), base_table_scan(kLengthBase, len)) << len;
+  }
+}
+
+TEST(Tables, DistanceCodeMatchesBaseTableScanForEveryDistance) {
+  for (int dist = 1; dist <= 32768; ++dist) {
+    ASSERT_EQ(distance_code(dist), base_table_scan(kDistBase, dist)) << dist;
+  }
+}
+
+/// Token-walk oracle: every token's code and extra bits, plus the end of
+/// block code.
+std::uint64_t token_walk_cost_bits(std::span<const Token> tokens,
+                                   std::span<const std::uint8_t> ll,
+                                   std::span<const std::uint8_t> dd) {
+  std::uint64_t bits = ll[kEndOfBlock];
+  for (const Token& t : tokens) {
+    if (t.length == 0) {
+      bits += ll[t.literal];
+      continue;
+    }
+    const auto lc = static_cast<std::size_t>(
+        base_table_scan(kLengthBase, t.length));
+    const auto dc = static_cast<std::size_t>(
+        base_table_scan(kDistBase, t.distance));
+    bits += ll[257 + lc] + kLengthExtra[lc] + dd[dc] + kDistExtra[dc];
+  }
+  return bits;
+}
+
+TEST(BlockCost, FrequencyCostEqualsTokenWalk) {
+  std::mt19937 rng(17);
+  std::vector<std::uint8_t> text;
+  const std::string words[] = {"wave ", "front ", "lorenzo ", "huffman ",
+                               "gzip ", "of ", "the "};
+  while (text.size() < 50000) {
+    for (char c : words[rng() % std::size(words)]) {
+      text.push_back(static_cast<std::uint8_t>(c));
+    }
+  }
+  std::vector<std::uint8_t> random(50000);
+  for (auto& b : random) b = static_cast<std::uint8_t>(rng());
+  std::vector<std::uint8_t> repetitive(50000);
+  for (std::size_t i = 0; i < repetitive.size(); ++i) {
+    repetitive[i] = static_cast<std::uint8_t>(i % 3 + (i / 9000));
+  }
+  const auto fix_ll = fixed_litlen_lengths();
+  const auto fix_dd = fixed_dist_lengths();
+  for (const auto* input : {&text, &random, &repetitive}) {
+    for (const auto level : {Level::Fast, Level::Best}) {
+      const auto tokens = tokenize(*input, level);
+      const auto f = detail::count_freqs(tokens);
+      EXPECT_EQ(f.raw_bytes, input->size());
+      auto dist_freq = f.dist;
+      dist_freq[0] += 1;  // a dynamic header always carries one distance
+      const auto dyn_ll = huffman_code_lengths(f.litlen, 15);
+      const auto dyn_dd = huffman_code_lengths(dist_freq, 15);
+      EXPECT_EQ(detail::block_cost_bits(f, dyn_ll, dyn_dd),
+                token_walk_cost_bits(tokens, dyn_ll, dyn_dd));
+      EXPECT_EQ(detail::block_cost_bits(f, fix_ll, fix_dd),
+                token_walk_cost_bits(tokens, fix_ll, fix_dd));
+    }
+  }
+}
+
 // --------------------------------------------------------------- deflate
 
 TEST(Deflate, EmptyInputRoundTrips) {

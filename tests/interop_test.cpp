@@ -3,6 +3,7 @@
 // inflate through our decoder. This pins the DEFLATE substrate to the real
 // RFC 1951/1952, not merely to itself. Skipped when gzip(1) is absent.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -20,8 +21,11 @@ namespace fs = std::filesystem;
 
 bool have_gzip() { return std::system("gzip --version > /dev/null 2>&1") == 0; }
 
+/// Per-process names: ctest runs each parameterized case in its own
+/// process, in parallel, and the cases reuse the same file names.
 fs::path tmp(const std::string& name) {
-  return fs::temp_directory_path() / ("wavesz_interop_" + name);
+  return fs::temp_directory_path() /
+         ("wavesz_interop_" + std::to_string(::getpid()) + "_" + name);
 }
 
 std::vector<std::uint8_t> sample_payload(int flavour, std::size_t size) {

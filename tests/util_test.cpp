@@ -132,6 +132,97 @@ TEST(BitIo, RandomSequencesRoundTripBothOrders) {
   }
 }
 
+/// Bit-at-a-time oracle for both writers: one entry per stream bit, packed
+/// into bytes (zero-padded, in the writer's bit order) only at the end.
+struct RefBitWriter {
+  bool msb;
+  std::vector<std::uint8_t> stream;
+
+  void bits(std::uint32_t v, int n) {
+    for (int i = 0; i < n; ++i) {
+      const int at = msb ? n - 1 - i : i;
+      stream.push_back(static_cast<std::uint8_t>((v >> at) & 1u));
+    }
+  }
+  void align_byte() {
+    while (stream.size() % 8 != 0) stream.push_back(0);
+  }
+  std::vector<std::uint8_t> bytes() const {
+    std::vector<std::uint8_t> out((stream.size() + 7) / 8, 0);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const std::size_t shift = msb ? 7 - i % 8 : i % 8;
+      out[i / 8] = static_cast<std::uint8_t>(out[i / 8] |
+                                             (stream[i] << shift));
+    }
+    return out;
+  }
+};
+
+TEST(BitIo, WordWritersMatchBitAtATimeOracle) {
+  std::mt19937 rng(11);
+  for (int trial = 0; trial < 40; ++trial) {
+    BitWriterLSB wl;
+    BitWriterMSB wm;
+    RefBitWriter rl{false, {}};
+    RefBitWriter rm{true, {}};
+    // 31 pending bits followed by a full 32-bit write, from a fresh writer.
+    for (const int n : {31, 32}) {
+      const std::uint32_t v = rng();
+      wl.bits(v, n);
+      rl.bits(v, n);
+      wm.bits(v, n);
+      rm.bits(v, n);
+    }
+    // Widths are uniform in 0..32, except that a writer 31 bits past a
+    // word boundary takes one 32-bit write (not two in a row, which would
+    // pin it there).
+    bool forced_m = false;
+    bool forced_l = false;
+    const auto width = [&rng](std::size_t count, bool& forced) {
+      forced = !forced && count % 32 == 31;
+      return forced ? 32 : static_cast<int>(rng() % 33);
+    };
+    for (int i = 0; i < 400; ++i) {
+      // Values carry garbage above bit n; both writers must ignore it.
+      const std::uint32_t v = rng();
+      const int n = width(wm.bit_count(), forced_m);
+      wm.bits(v, n);
+      rm.bits(v, n);
+      ASSERT_EQ(wm.bit_count(), rm.stream.size());
+      switch (rng() % 8) {
+        case 0:
+          wl.align_byte();
+          rl.align_byte();
+          if (rng() % 2 == 0) {
+            const auto b = static_cast<std::uint8_t>(rng());
+            wl.byte(b);
+            rl.bits(b, 8);
+          }
+          break;
+        case 1: {
+          std::vector<std::uint8_t> src(rng() % 12);
+          for (auto& b : src) b = static_cast<std::uint8_t>(rng());
+          const std::size_t nbits =
+              src.empty() ? 0 : rng() % (src.size() * 8 + 1);
+          wl.append(src, nbits);
+          for (std::size_t k = 0; k < nbits; ++k) {
+            rl.bits(src[k / 8] >> (k % 8), 1);
+          }
+          break;
+        }
+        default: {
+          const int nl = width(wl.bit_count(), forced_l);
+          wl.bits(v, nl);
+          rl.bits(v, nl);
+        }
+      }
+      ASSERT_EQ(wl.bit_count(), rl.stream.size());
+    }
+    ASSERT_EQ(wl.take(), rl.bytes()) << "trial " << trial;
+    ASSERT_EQ(wm.take(), rm.bytes()) << "trial " << trial;
+  }
+}
+
 TEST(BitIoLsb, PeekIsIdempotentAndConsumeAdvances) {
   std::vector<std::uint8_t> bytes{0b10110101, 0xC3, 0x7E};
   BitReaderLSB br(bytes);
@@ -327,6 +418,20 @@ TEST(Crc32, StreamingEqualsOneShot) {
   streaming.update({data.data(), 400});
   streaming.update({data.data() + 400, 600});
   EXPECT_EQ(streaming.value(), Crc32::of(data));
+}
+
+TEST(Crc32, CombineEqualsDigestOfConcatenation) {
+  std::mt19937 rng(5);
+  std::vector<std::uint8_t> data(5000);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  const std::span<const std::uint8_t> all(data);
+  for (const std::size_t cut : {0u, 1u, 7u, 8u, 1000u, 4999u, 5000u}) {
+    const auto a = all.first(cut);
+    const auto b = all.subspan(cut);
+    EXPECT_EQ(Crc32::combine(Crc32::of(a), Crc32::of(b), b.size()),
+              Crc32::of(all))
+        << "cut " << cut;
+  }
 }
 
 // Bitwise CRC-32 straight from the reflected polynomial, as the oracle for
